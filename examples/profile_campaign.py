@@ -10,8 +10,8 @@ predicate polling, and packet length recomputation rather than concentrated
 in one function, which is why that PR touched every layer.
 
 ``--backend serial`` (the default) keeps every simulated event inside the
-profiled process; ``--backend process`` or ``--backend thread`` profiles the
-*dispatch* side instead — batch submission, result decoding, pool
+profiled process; ``--backend process`` profiles the *dispatch* side
+instead — batch submission, result decoding, pool
 bookkeeping — which is the view PR 7's batched transport was tuned against.
 The cells run on the main thread (not via a :class:`repro.api.Session`,
 whose job-worker thread would hide the work from the profiler), sharing one
@@ -20,7 +20,7 @@ warm backend exactly as a session would.
 Usage::
 
     PYTHONPATH=src python examples/profile_campaign.py \
-        [--hosts N] [--top K] [--backend serial|thread|process] [--out FILE]
+        [--hosts N] [--top K] [--backend serial|process] [--out FILE]
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import io
 import pstats
 
 from repro.api import MatrixRequest
-from repro.api.backends import backend_names, create_backend
+from repro.api.backends import create_backend
 from repro.core.campaign import CampaignConfig
 from repro.core.prober import TestName
 from repro.core.runner import CampaignRunner
@@ -49,9 +49,9 @@ def main() -> None:
     parser.add_argument(
         "--backend",
         default="serial",
-        choices=backend_names(),
+        choices=("serial", "process"),
         help="execution backend to profile (serial = simulation hot path, "
-        "thread/process = batched dispatch and transport overhead)",
+        "process = batched dispatch and transport overhead)",
     )
     parser.add_argument(
         "--sort",

@@ -48,8 +48,7 @@ def main() -> None:
     )
     with Session(backend="process") as session:
         sweep = session.run(
-            MatrixRequest(matrix=matrix, config=CONFIG, hosts=6, seed=SEED,
-                          shards=2, parallel_cells=True)
+            MatrixRequest(matrix=matrix, config=CONFIG, hosts=6, seed=SEED, shards=2)
         )
     print(compare_scenarios(sweep.payload.results()).to_table())
 

@@ -64,8 +64,6 @@ from repro.scenarios import (
     get_scenario,
     list_scenarios,
     register_scenario,
-    run_matrix,
-    run_scenario,
     scenario_names,
 )
 from repro.sim import Simulator
@@ -132,8 +130,6 @@ __all__ = [
     "profile_by_name",
     "quick_testbed",
     "register_scenario",
-    "run_matrix",
-    "run_scenario",
     "scenario_names",
     "validate_host_ipid",
     "__version__",

@@ -4,22 +4,14 @@ The paper reports which hosts each technique could be used against (the
 dual-connection test was ruled out for 8 hosts behind load balancers and 9
 hosts with constant-zero IPIDs) and that more than 15 % of measurements
 contained at least one reordered sample.
-
-:func:`run_sharded_survey` is the one-call version of the whole pipeline:
-generate a population, run it through the sharded
-:class:`~repro.core.runner.CampaignRunner`, and summarise eligibility.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.analysis.report import format_table
-from repro.core.campaign import CampaignConfig, CampaignResult
 from repro.core.prober import TestName
-from repro.core.runner import EXECUTOR_PROCESS, CampaignRunner
-from repro.workloads.population import PopulationSpec, generate_population
 
 
 @dataclass(slots=True)
@@ -76,43 +68,3 @@ def summarize_eligibility(campaign) -> EligibilitySummary:
     summary.measurements_total = campaign.total_measurements()
     summary.measurements_with_reordering = campaign.measurements_with_reordering()
     return summary
-
-
-@dataclass(slots=True)
-class SurveyRun:
-    """A completed survey: the raw campaign dataset plus its eligibility view."""
-
-    result: CampaignResult
-    summary: EligibilitySummary
-
-
-def run_sharded_survey(
-    population: Optional[PopulationSpec] = None,
-    config: Optional[CampaignConfig] = None,
-    *,
-    seed: int = 7,
-    shards: int = 1,
-    executor: str = EXECUTOR_PROCESS,
-    max_workers: Optional[int] = None,
-) -> SurveyRun:
-    """Generate a population, run a sharded campaign over it, and summarise it.
-
-    This is the survey pipeline end to end: population specs are a pure
-    function of ``(population, seed)`` and the sharded runner keeps records a
-    pure function of ``(specs, config, seed, shards)`` regardless of
-    ``executor``, so two calls with the same arguments return identical
-    datasets.  Changing ``shards`` also leaves records untouched except for
-    load-balanced sites, whose backend selection hashes ephemeral ports (see
-    :mod:`repro.core.runner`).
-    """
-    specs = generate_population(population or PopulationSpec(), seed=seed)
-    runner = CampaignRunner(
-        specs,
-        config,
-        seed=seed,
-        shards=shards,
-        executor=executor,
-        max_workers=max_workers,
-    )
-    result = runner.execute()
-    return SurveyRun(result=result, summary=summarize_eligibility(result))

@@ -6,13 +6,15 @@ or :class:`ResumeRequest`), submit it to a :class:`Session`, and get back a
 :class:`JobHandle` whose :meth:`~repro.api.jobs.JobHandle.result` is a
 versioned :class:`ResultEnvelope` carrying the dataset plus its identity
 (scenario label, plan digest, result digest).  Work executes on a pluggable
-:class:`ExecutionBackend` (``serial`` / ``thread`` / ``process`` built in,
+:class:`ExecutionBackend` (``serial`` / ``process`` / ``remote`` built in,
 more via :func:`register_backend`), and one session shares one warm pool
 across every job, shard, and matrix cell it runs.
 
-The legacy entry points — ``quick_testbed`` + per-technique test classes,
-``CampaignRunner.run``, ``run_scenario`` / ``resume_scenario``, and
-``run_matrix`` — remain as thin delegating shims over this layer.
+There is one way to run a campaign: ``Session`` →
+:meth:`~repro.core.runner.CampaignRunner.execute` → one backend's
+:meth:`~ExecutionBackend.iter_shards`.  The lower layers
+(``quick_testbed`` + per-technique test classes, ``CampaignRunner``) stay
+available for direct use.
 
 >>> from repro.api import ProbeRequest, Session
 >>> with Session(backend="serial") as session:
@@ -27,7 +29,6 @@ from repro.api.backends import (
     ExecutionBackend,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     backend_names,
     create_backend,
     register_backend,
@@ -72,7 +73,6 @@ __all__ = [
     "ResumeRequest",
     "SerialBackend",
     "Session",
-    "ThreadBackend",
     "backend_names",
     "create_backend",
     "plan_digest",

@@ -1,41 +1,35 @@
-"""Pluggable execution backends: the pool code behind every front door.
+"""Pluggable execution backends: where a campaign's shards run.
 
-Before the :mod:`repro.api` layer existed, :class:`~repro.core.runner.
-CampaignRunner` owned its :mod:`concurrent.futures` plumbing outright, and
-every other surface (the scenario matrix, the CLI) rebuilt glue around it.
-This module extracts that plumbing behind one small interface so that a
-single backend — and, for the thread/process backends, a single warm pool —
-can be shared across campaigns, matrix cells, and resumed runs alike.
+:meth:`repro.core.runner.CampaignRunner.execute` hands every campaign's
+:class:`~repro.core.runner.ShardTask` list to one backend through one method,
+:meth:`ExecutionBackend.iter_shards`, and merges whatever it yields.  A
+:class:`repro.api.Session` shares one backend — and so one warm pool —
+across every campaign, resume, and matrix cell it runs.
 
-Three backends ship built in, matching the runner's historical executor
-names: ``serial`` (inline execution), ``thread``
-(:class:`~concurrent.futures.ThreadPoolExecutor`), and ``process``
-(:class:`~concurrent.futures.ProcessPoolExecutor`).  Additional backends can
-be registered with :func:`register_backend` and selected by name anywhere an
-executor name is accepted.
+Three backends ship built in: ``serial`` (inline execution, the determinism
+reference), ``process`` (a :class:`~concurrent.futures.ProcessPoolExecutor`),
+and ``remote`` (socket workers, :mod:`repro.distributed`).  Additional
+backends can be registered with :func:`register_backend` and selected by
+name anywhere an executor name is accepted.
 
-Two execution shapes cover every caller:
+The process backend dispatches shards in adaptive *batches*: one pool future
+— one IPC round-trip — per batch (sizing in
+:func:`repro.core.transport.next_batch_size`), with each batch's results
+coming back as one struct-packed blob.
 
-* :meth:`ExecutionBackend.map_shards` / :meth:`ExecutionBackend.iter_shards`
-  run one campaign's :class:`~repro.core.runner.ShardTask` list — ordered
-  barrier map and completion-order iteration respectively.  Shards are
-  dispatched in adaptive *batches* (one pool future — for the process
-  backend, one IPC round-trip — per batch; sizing in
-  :func:`repro.core.transport.next_batch_size`), and batch results come back
-  as one struct-packed blob per batch.  The process backend keeps PR 3's
-  pickling optimisation: when its pool was created for the same run-wide
-  :class:`~repro.core.runner.ShardContext`, batches travel as bare
-  ``(index, specs)`` slices through the pool initializer's stashed context;
-  a reused pool serving a *different* campaign falls back to shipping whole
-  tasks (still correct, marginally more pickling).
-* :meth:`ExecutionBackend.map_items` runs arbitrary picklable work items —
-  the scenario matrix uses it to execute whole cells in parallel.
+Failure discipline, in two halves:
 
-Failure discipline: backends raise the pool-infrastructure exceptions in
-:data:`POOL_FAILURES` (no semaphores in a sandbox, fork restrictions, broken
-workers) and nothing else of their own; the campaign runner catches exactly
-those and re-executes the remaining shards inline, because shard tasks are
-pure functions.  Exceptions raised *by the work itself* propagate unwrapped.
+* **Shard code errors are** :class:`~repro.net.errors.ShardError`.  Every
+  exception a shard raises is wrapped with the shard's index where the shard
+  ran, so it surfaces once and is never re-run.
+* **One fallback, at this seam.**  A pool-infrastructure failure
+  (:data:`POOL_FAILURES`: no semaphores in a sandbox, fork restrictions, a
+  worker death breaking the pool) makes the process backend discard its
+  pool, run the shards it has not yet yielded inline, emit a
+  :class:`RuntimeWarning`, and record the warning in its job report, which
+  the session folds into ``envelope.meta["warnings"]``.  Shard tasks are
+  pure functions, so the inline run yields identical records.  The remote
+  backend's degrade-to-local lives at the same seam.
 """
 
 from __future__ import annotations
@@ -49,57 +43,43 @@ from contextlib import closing
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
+    CancelledError,
     Executor,
     Future,
     ProcessPoolExecutor,
-    ThreadPoolExecutor,
     wait,
 )
 from pickle import PicklingError
-from typing import Callable, Iterator, Optional, Sequence, TypeVar
+from typing import Callable, Iterator, Optional, Sequence
 
-from repro.core.runner import (
-    ShardContext,
-    ShardOutcome,
-    ShardTask,
-    _init_shard_worker,
-    _run_shard_slice_batch,
-    _run_task_batch,
-    run_shard,
-)
+from repro.core.runner import ShardOutcome, ShardTask, run_shard_checked
 from repro.core.transport import (
-    MODE_PICKLE,
     batch_size_override,
     decode_outcomes,
+    encode_outcomes,
     next_batch_size,
-    transport_mode,
 )
 from repro.net.errors import MeasurementError
 
-_ItemT = TypeVar("_ItemT")
-_ResultT = TypeVar("_ResultT")
-
-POOL_FAILURES = (OSError, PicklingError, BrokenExecutor, RuntimeError)
-"""Pool-infrastructure failures that justify an inline serial retry.
+POOL_FAILURES = (OSError, PicklingError, BrokenExecutor, CancelledError, RuntimeError)
+"""Pool-infrastructure failures: the only exceptions the pool fallback catches.
 
 ``RuntimeError`` covers the stdlib's "cannot schedule new futures after
-shutdown" raised when a shared pool is reset/closed underneath a concurrent
-job.  Including it is safe for correctness: shard tasks are pure functions,
-so a ``RuntimeError`` raised by the *work itself* simply re-raises from the
-inline retry (one redundant execution in that pathological case, never a
-wrong result).
+shutdown", and ``CancelledError`` a future cancelled when a concurrent job
+discarded the shared pool.  Shard code cannot raise any of these into the
+dispatcher: its exceptions arrive wrapped in
+:class:`~repro.net.errors.ShardError`.
 """
 
 
-def _shard_context(task: ShardTask) -> ShardContext:
-    """The run-wide half of a campaign, recovered from any of its tasks."""
-    return ShardContext(
-        config=task.config,
-        tests=task.tests,
-        seed=task.seed,
-        remote_port=task.remote_port,
-        scenario=task.scenario,
-    )
+def _run_batch(tasks: tuple[ShardTask, ...]) -> bytes:
+    """Process-pool worker entry point: run a batch, return one blob.
+
+    Shard code errors leave the worker as
+    :class:`~repro.net.errors.ShardError`, so the parent can never mistake
+    them for a broken pool.
+    """
+    return encode_outcomes([run_shard_checked(task) for task in tasks])
 
 
 def _shard_cost(task: ShardTask) -> int:
@@ -120,55 +100,37 @@ def _shard_cost(task: ShardTask) -> int:
     )
 
 
-def _materialize(
-    result: object, batch: Sequence[ShardTask] = ()
-) -> list[ShardOutcome]:
-    """A batch future's payload as live outcomes, whatever transport it rode.
-
-    ``batch`` (the tasks that were in flight) gives a decode fault its
-    :class:`~repro.net.errors.TransportError` shard context.
-    """
-    if isinstance(result, (bytes, bytearray, memoryview)):
-        return decode_outcomes(
-            result, shard_indexes=tuple(task.index for task in batch)
-        )
-    return result  # type: ignore[return-value]
-
-
 class ExecutionBackend(ABC):
-    """Where work runs: an execution strategy with an optionally warm pool.
+    """Where shards run: an execution strategy with an optionally warm pool.
 
-    A backend may be handed to any number of campaigns and matrix sweeps
-    before being closed; the thread and process backends create their pool
-    lazily on first use and keep it warm across calls, which is what lets a
-    matrix sweep amortise worker spin-up over all of its cells.  Backends are
-    context managers; :meth:`close` is idempotent.
+    A backend may be handed to any number of campaigns before being closed;
+    pooled backends create their pool lazily on first use and keep it warm
+    across calls.  Backends are context managers; :meth:`close` is
+    idempotent.
 
-    Executor choice never affects *what is measured* — shard tasks and
-    matrix cells are pure functions of their inputs — only where and how
-    concurrently they run.
+    Backend choice never affects *what is measured* — shard tasks are pure
+    functions of their inputs — only where and how concurrently they run.
     """
 
     #: Registry name; also what :attr:`CampaignRunner.executor` reports.
     name: str = "abstract"
 
     @abstractmethod
-    def map_shards(self, tasks: Sequence[ShardTask]) -> list[ShardOutcome]:
-        """Run every shard task, returning outcomes in task order."""
-
-    @abstractmethod
     def iter_shards(self, tasks: Sequence[ShardTask]) -> Iterator[ShardOutcome]:
-        """Yield shard outcomes in completion order.
+        """Yield shard outcomes in completion order (a generator).
 
         Closing the iterator early cancels work that has not started;
         already-running work is allowed to finish in the background.
         """
 
-    @abstractmethod
-    def map_items(
-        self, fn: Callable[[_ItemT], _ResultT], items: Sequence[_ItemT]
-    ) -> list[_ResultT]:
-        """Run ``fn`` over arbitrary work items, preserving item order."""
+    def pop_job_report(self) -> dict:
+        """What the backend survived since the last pop (empty if nothing).
+
+        The session folds a non-empty report into the envelope's ``meta``
+        under the backend's name, and its ``warnings`` into
+        ``meta["warnings"]``.
+        """
+        return {}
 
     def close(self) -> None:
         """Release pool resources.  Idempotent; the serial backend is a no-op."""
@@ -189,117 +151,76 @@ class SerialBackend(ExecutionBackend):
         # Accepted for signature uniformity; a serial backend has one worker.
         self.max_workers = 1
 
-    def map_shards(self, tasks: Sequence[ShardTask]) -> list[ShardOutcome]:
-        return [run_shard(task) for task in tasks]
-
     def iter_shards(self, tasks: Sequence[ShardTask]) -> Iterator[ShardOutcome]:
         for task in tasks:
-            yield run_shard(task)
-
-    def map_items(
-        self, fn: Callable[[_ItemT], _ResultT], items: Sequence[_ItemT]
-    ) -> list[_ResultT]:
-        return [fn(item) for item in items]
+            yield run_shard_checked(task)
 
 
-class _PoolBackend(ExecutionBackend):
-    """Shared machinery for the thread and process backends.
+class ProcessBackend(ExecutionBackend):
+    """A lazily created, reusable :class:`ProcessPoolExecutor`.
 
-    Pool lifecycle (creation, broken-pool reset, close) is serialized by a
-    reentrant lock because a :class:`repro.api.Session` runs each submitted
-    job on its own worker thread against the one shared backend.  Work
-    submission itself needs no extra locking — the stdlib executors are
-    thread-safe.
+    Pool lifecycle (creation, discard, close) is serialized by a lock
+    because a :class:`repro.api.Session` runs each submitted job on its own
+    thread against the one shared backend.  Work submission needs no extra
+    locking — the stdlib executor is thread-safe.
     """
+
+    name = "process"
 
     def __init__(self, max_workers: Optional[int] = None) -> None:
         self.max_workers = max_workers
         self._pool: Optional[Executor] = None
         self._workers = 0
-        self._pool_lock = threading.RLock()
+        self._warnings: list[str] = []
+        self._pool_lock = threading.Lock()
 
-    def _worker_count(self) -> int:
-        """Pool width: the explicit cap, else one worker per core.
-
-        The stdlib executors spawn workers lazily on demand, so sizing to
-        the machine costs a small job nothing while leaving headroom for a
-        later large job on the same warm pool.
-        """
-        return self.max_workers or os.cpu_count() or 1
-
-    def _create_pool(self) -> Executor:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def _ensure_pool(self) -> Executor:
+    def _ensure_pool(self) -> tuple[Executor, int]:
+        """The warm pool and its width (the explicit cap, else one worker
+        per core), created on first use."""
         with self._pool_lock:
             if self._pool is None:
-                self._workers = self._worker_count()
-                self._pool = self._create_pool()
-            return self._pool
+                self._workers = self.max_workers or os.cpu_count() or 1
+                self._pool = ProcessPoolExecutor(max_workers=self._workers)
+            return self._pool, self._workers
 
-    def _reset_broken_pool(self) -> None:
-        """Discard a broken pool so the next call starts a fresh one.
+    def _submit(self, pool: Executor, batch: tuple[ShardTask, ...]) -> "Future[bytes]":
+        """Send one batch to the pool (one IPC round-trip each way)."""
+        return pool.submit(_run_batch, batch)
 
-        A per-run pool could simply be abandoned; a shared backend must not
-        keep serving a corpse to every later campaign.
-        """
+    def iter_shards(self, tasks: Sequence[ShardTask]) -> Iterator[ShardOutcome]:
+        if not tasks:
+            return
+        unfinished = {task.index: task for task in tasks}
+        pool: Optional[Executor] = None
+        try:
+            pool, workers = self._ensure_pool()
+            with closing(self._dispatch_batches(pool, workers, tasks)) as results:
+                for outcome in results:
+                    unfinished.pop(outcome.index, None)
+                    yield outcome
+            return
+        except POOL_FAILURES as exc:
+            failure = exc
+        # The one pool fallback.  A shared backend must not keep serving a
+        # broken pool to later campaigns, so it is discarded; the next
+        # campaign starts a fresh one.
+        if pool is not None:
+            with self._pool_lock:
+                if self._pool is pool:
+                    self._pool = None
+            pool.shutdown(wait=False, cancel_futures=True)
+        message = (
+            f"{self.name} pool failed ({failure!r}); running {len(unfinished)} "
+            "unfinished shard(s) inline"
+        )
+        warnings.warn(message, RuntimeWarning, stacklevel=2)
         with self._pool_lock:
-            if self._pool is not None:
-                self._pool.shutdown(wait=False, cancel_futures=True)
-                self._pool = None
-
-    def _shard_submitter(
-        self, tasks: Sequence[ShardTask]
-    ) -> Callable[[tuple[ShardTask, ...]], "Future"]:
-        """A callable submitting one shard batch, bound to the warm pool.
-
-        The base (thread) flavour ships whole tasks and gets live objects
-        back — same address space, nothing to encode.  The process backend
-        overrides this with the stashed-context / binary-transport variants.
-        """
-        pool = self._ensure_pool()
-        return lambda batch: pool.submit(_run_task_batch, (MODE_PICKLE, batch))
-
-    def _batch_dispatch(self, tasks: Sequence[ShardTask]) -> Iterator[ShardOutcome]:
-        """Yield shard outcomes in completion order, fault-tolerant once.
-
-        Dispatch itself lives in :meth:`_dispatch_batches`; this wrapper adds
-        the retry discipline: when the pool breaks mid-campaign
-        (:class:`BrokenExecutor` — one worker dying takes the whole stdlib
-        pool with it), the broken pool is discarded and the shards that have
-        not been yielded yet are re-dispatched **once** on a fresh pool, so a
-        single transient worker death no longer kills a whole campaign.  A
-        second break propagates: something is systematically wrong.  Shard
-        tasks are pure functions, so re-running an in-flight shard can never
-        change a result — only recompute it.
-        """
-        remaining: "dict[int, ShardTask]" = {task.index: task for task in tasks}
-        retried = False
-        while True:
-            batch_tasks = tuple(remaining.values())
-            try:
-                submit = self._shard_submitter(batch_tasks)
-                with closing(self._dispatch_batches(batch_tasks, submit)) as results:
-                    for outcome in results:
-                        remaining.pop(outcome.index, None)
-                        yield outcome
-                return
-            except BrokenExecutor as exc:
-                self._reset_broken_pool()
-                if retried or not remaining:
-                    raise
-                retried = True
-                warnings.warn(
-                    f"{self.name} pool broke mid-campaign ({exc!r}); retrying "
-                    f"{len(remaining)} in-flight shard(s) once on a fresh pool",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
+            self._warnings.append(message)
+        for task in unfinished.values():
+            yield run_shard_checked(task)
 
     def _dispatch_batches(
-        self,
-        tasks: Sequence[ShardTask],
-        submit: Callable[[tuple[ShardTask, ...]], "Future"],
+        self, pool: Executor, workers: int, tasks: Sequence[ShardTask]
     ) -> Iterator[ShardOutcome]:
         """Yield shard outcomes in completion order, batched per round-trip.
 
@@ -312,11 +233,9 @@ class _PoolBackend(ExecutionBackend):
         so workers never idle behind the parent's decode.
         """
         pending = deque(tasks)
-        with self._pool_lock:
-            workers = max(1, self._workers)
         override = batch_size_override()
         cost = _shard_cost(tasks[0])
-        inflight: "dict[Future, tuple[ShardTask, ...]]" = {}
+        inflight: "dict[Future[bytes], tuple[ShardTask, ...]]" = {}
 
         def refill() -> None:
             while pending and len(inflight) < workers:
@@ -324,7 +243,7 @@ class _PoolBackend(ExecutionBackend):
                     len(pending), workers, shard_cost=cost, override=override
                 )
                 batch = tuple(pending.popleft() for _ in range(size))
-                inflight[submit(batch)] = batch
+                inflight[self._submit(pool, batch)] = batch
 
         try:
             refill()
@@ -333,7 +252,10 @@ class _PoolBackend(ExecutionBackend):
                 finished = [(future, inflight.pop(future)) for future in done]
                 refill()
                 for future, batch in finished:
-                    yield from _materialize(future.result(), batch)
+                    yield from decode_outcomes(
+                        future.result(),
+                        shard_indexes=tuple(task.index for task in batch),
+                    )
         finally:
             # Reached on success, pool failure, and early close (the consumer
             # raised): drop batches that have not started.  The pool itself
@@ -341,116 +263,16 @@ class _PoolBackend(ExecutionBackend):
             for future in inflight:
                 future.cancel()
 
-    def map_shards(self, tasks: Sequence[ShardTask]) -> list[ShardOutcome]:
-        if not tasks:
-            return []
-        by_index: dict[int, ShardOutcome] = {}
-        for outcome in self._batch_dispatch(tasks):
-            by_index[outcome.index] = outcome
-        return [by_index[task.index] for task in tasks]
-
-    def iter_shards(self, tasks: Sequence[ShardTask]) -> Iterator[ShardOutcome]:
-        if not tasks:
-            return
-        yield from self._batch_dispatch(tasks)
-
-    def map_items(
-        self, fn: Callable[[_ItemT], _ResultT], items: Sequence[_ItemT]
-    ) -> list[_ResultT]:
-        if not items:
-            return []
-        pool = self._ensure_pool()
-        try:
-            return list(pool.map(fn, items))
-        except BrokenExecutor:
-            self._reset_broken_pool()
-            raise
+    def pop_job_report(self) -> dict:
+        with self._pool_lock:
+            warned, self._warnings = self._warnings, []
+        return {"warnings": warned, "degraded": True} if warned else {}
 
     def close(self) -> None:
         with self._pool_lock:
             pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
-
-
-class ThreadBackend(_PoolBackend):
-    """A lazily created, reusable :class:`ThreadPoolExecutor`.
-
-    Threads share the parent's address space, so batches always travel as
-    live objects (the binary codec would be pure overhead here); batching
-    still amortises the per-future bookkeeping and keeps the dispatch shape
-    identical across backends for the digest-invariance tests.
-    """
-
-    name = "thread"
-
-    def _create_pool(self) -> Executor:
-        return ThreadPoolExecutor(max_workers=self._workers)
-
-
-class ProcessBackend(_PoolBackend):
-    """A lazily created, reusable :class:`ProcessPoolExecutor`.
-
-    The first campaign to touch the backend fixes the pool's worker
-    initializer to its run-wide :class:`ShardContext` (PR 3's
-    pickling-minimisation: per-batch IPC then carries only ``(index,
-    specs)`` slices).  Later campaigns with an *equal* context reuse the fast path;
-    campaigns with a different context — e.g. the other cells of a matrix
-    sweep — ship whole :class:`ShardTask` objects through the same warm pool
-    instead, trading a little pickling for zero worker spin-up.
-    """
-
-    name = "process"
-
-    def __init__(self, max_workers: Optional[int] = None) -> None:
-        super().__init__(max_workers)
-        self._pool_context: Optional[ShardContext] = None
-
-    def _reset_broken_pool(self) -> None:
-        with self._pool_lock:
-            super()._reset_broken_pool()
-            self._pool_context = None
-
-    def _create_pool(self) -> Executor:
-        # reprolint: allow(LOCK001): only called from _ensure_pool, which holds _pool_lock
-        if self._pool_context is not None:
-            return ProcessPoolExecutor(
-                max_workers=self._workers,
-                initializer=_init_shard_worker,
-                # reprolint: allow(LOCK001): same _ensure_pool-holds-_pool_lock contract
-                initargs=(self._pool_context,),
-            )
-        return ProcessPoolExecutor(max_workers=self._workers)
-
-    def _ensure_shard_pool(self, tasks: Sequence[ShardTask]) -> tuple[Executor, bool]:
-        """The pool plus whether these tasks may use the stashed-context path."""
-        context = _shard_context(tasks[0])
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool_context = context
-            pool = self._ensure_pool()
-            return pool, self._pool_context == context
-
-    def _shard_submitter(
-        self, tasks: Sequence[ShardTask]
-    ) -> Callable[[tuple[ShardTask, ...]], "Future"]:
-        """Submit batches over the leanest transport the pool supports.
-
-        Parent->worker: a fast-path batch carries only ``(index, specs)``
-        slices (the stashed :class:`ShardContext` fills in the rest); a
-        reused pool serving a different campaign ships whole tasks.
-        Worker->parent: one struct-packed blob per batch (see
-        :mod:`repro.core.transport`), or live pickled objects when the
-        ``REPRO_TRANSPORT=pickle`` oracle is active.
-        """
-        pool, fast = self._ensure_shard_pool(tasks)
-        mode = transport_mode()
-        if fast:
-            return lambda batch: pool.submit(
-                _run_shard_slice_batch,
-                (mode, tuple((task.index, task.specs) for task in batch)),
-            )
-        return lambda batch: pool.submit(_run_task_batch, (mode, batch))
 
 
 # --------------------------------------------------------------------- #
@@ -508,7 +330,6 @@ def _remote_factory(max_workers: Optional[int]) -> ExecutionBackend:
 
 
 register_backend(SerialBackend.name, SerialBackend)
-register_backend(ThreadBackend.name, ThreadBackend)
 register_backend(ProcessBackend.name, ProcessBackend)
 register_backend("remote", _remote_factory)
 
@@ -518,7 +339,6 @@ __all__ = [
     "ExecutionBackend",
     "ProcessBackend",
     "SerialBackend",
-    "ThreadBackend",
     "backend_names",
     "create_backend",
     "register_backend",

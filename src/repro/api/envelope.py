@@ -49,7 +49,7 @@ def plan_digest(plan: "CampaignPlan") -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, weakref_slot=True)
 class ResultEnvelope:
     """One request's result plus everything needed to identify it.
 

@@ -98,7 +98,6 @@ class NormalizedMatrix:
     """A sweep reduced to an ordered tuple of independent cell plans."""
 
     cells: tuple[CellPlan, ...]
-    parallel_cells: bool
 
 
 # --------------------------------------------------------------------- #
@@ -223,10 +222,8 @@ class MatrixRequest:
     Accepts either a prebuilt :class:`~repro.scenarios.matrix.ScenarioMatrix`
     or ``scenarios`` + ``os_names`` to build one.  Every cell's seed derives
     stably from ``(seed, scenario name, OS name)``, so adding or removing
-    cells never changes the other cells' datasets — which is also what makes
-    ``parallel_cells=True`` safe: cells are independent pure functions, and
-    the session fans them out across the backend (shards within each cell
-    then run serially inside their worker).
+    cells never changes the other cells' datasets.  The session runs the
+    cells in order, each one a campaign whose shards share its warm pool.
     """
 
     scenarios: tuple[ScenarioLike, ...] = ()
@@ -238,7 +235,6 @@ class MatrixRequest:
     shards: int = 1
     remote_port: int = 80
     tests: Optional[tuple[TestName, ...]] = None
-    parallel_cells: bool = False
 
     def scenario_matrix(self) -> ScenarioMatrix:
         if self.matrix is not None:
@@ -270,7 +266,7 @@ class MatrixRequest:
             )
             for cell in matrix.cells()
         )
-        return NormalizedMatrix(cells=cells, parallel_cells=self.parallel_cells)
+        return NormalizedMatrix(cells=cells)
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,11 @@
 A session owns an execution backend (and hence at most one warm worker
 pool), accepts the typed requests from :mod:`repro.api.requests`, and
 returns :class:`~repro.api.jobs.JobHandle` s whose results are versioned
-:class:`~repro.api.envelope.ResultEnvelope` s.  Every surface in the repo —
-library callers, the legacy ``run_scenario`` / ``run_matrix`` /
-``CampaignRunner.run`` shims, and the ``python -m repro`` CLI — routes
-through here, so argument conventions for seeds, shards, stores, OS mixes,
-and checkpoints are normalized exactly once.
+:class:`~repro.api.envelope.ResultEnvelope` s.  Library callers and the
+``python -m repro`` CLI both route through here, so argument conventions for
+seeds, shards, stores, OS mixes, and checkpoints are normalized exactly once.
+Every campaign, resume, and matrix cell then runs the same way:
+:meth:`repro.core.runner.CampaignRunner.execute` on the session's backend.
 
 Determinism contract: a request's measurement content is a pure function of
 the request (see :mod:`repro.core.runner`); the session's backend choice and
@@ -31,12 +31,7 @@ import hashlib
 import threading
 from typing import Any, Optional, Union
 
-from repro.api.backends import (
-    POOL_FAILURES,
-    ExecutionBackend,
-    backend_names,
-    create_backend,
-)
+from repro.api.backends import ExecutionBackend, backend_names, create_backend
 from repro.api.envelope import (
     KIND_CAMPAIGN,
     KIND_MATRIX,
@@ -44,7 +39,7 @@ from repro.api.envelope import (
     ResultEnvelope,
     plan_digest,
 )
-from repro.api.jobs import JobCancelled, JobHandle, ProgressEvent
+from repro.api.jobs import JobHandle, ProgressEvent
 from repro.api.requests import (
     CampaignRequest,
     CellPlan,
@@ -74,27 +69,6 @@ def _probe_signature(report: ProbeReport) -> tuple:
     return (report.test.value, report.error or "", report.ineligible, samples)
 
 
-def _run_matrix_cell(cell: CellPlan) -> tuple[CellPlan, "CampaignPlan", CampaignResult]:
-    """Execute one matrix cell to completion (worker-process entry point).
-
-    Module-level so :class:`CellPlan` s can ship to a process pool; shards
-    inside the cell run serially because the cell itself is the unit of
-    parallelism here.  Returns the cell's campaign plan too, so the caller
-    can build the cell envelope without rebuilding the population.
-    """
-    specs = build_scenario_hosts(cell.scenario, seed=cell.seed)
-    runner = CampaignRunner(
-        specs,
-        cell.config,
-        seed=cell.seed,
-        remote_port=cell.remote_port,
-        shards=cell.shards,
-        executor="serial",
-        scenario=cell.label,
-    )
-    return cell, runner.plan(cell.tests), runner.execute(cell.tests)
-
-
 class Session:
     """A configured entry point that turns requests into jobs.
 
@@ -102,7 +76,7 @@ class Session:
     ----------
     backend:
         A backend name from the :mod:`repro.api.backends` registry
-        (``"serial"``, ``"thread"``, ``"process"``, or anything registered)
+        (``"serial"``, ``"process"``, ``"remote"``, or anything registered)
         or an :class:`ExecutionBackend` instance to share.  Named backends
         are created lazily and owned (closed) by the session; instances are
         borrowed and left open.
@@ -111,9 +85,10 @@ class Session:
 
     Sessions are context managers.  :meth:`submit` returns immediately with
     a :class:`JobHandle`; :meth:`run` is the blocking convenience.  One
-    session may run many jobs, and thread/process sessions reuse a single
-    warm pool across all of them — including across every cell of a matrix
-    sweep.
+    session may run many jobs, and a pooled session reuses a single warm
+    pool across all of them — including across every cell of a matrix
+    sweep.  The session holds a job only while it runs; a finished job's
+    handle and envelope belong to the caller alone.
     """
 
     def __init__(
@@ -132,7 +107,7 @@ class Session:
         self._owns_backend = isinstance(backend, str)
         self.max_workers = max_workers
         self._backend: Optional[ExecutionBackend] = None
-        self._jobs: list[JobHandle] = []
+        self._jobs: set[JobHandle] = set()
         self._lock = threading.Lock()
         self._closed = False
 
@@ -160,14 +135,15 @@ class Session:
 
         Jobs are started under the session lock, so every job visible here
         has a thread to join — a submit racing with close either completes
-        first (and is joined) or observes the closed flag and is refused.
-        The backend is detached only after every job has drained.
+        first (and is joined) or observes the closed flag and is refused.  A
+        job leaves the set only once it no longer touches the backend, which
+        is detached only after every job has drained.
         """
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-            jobs, self._jobs = self._jobs, []
+            jobs, self._jobs = self._jobs, set()
         for job in jobs:
             if job._thread is not None:
                 job._thread.join()
@@ -204,8 +180,8 @@ class Session:
             # (workers spawn lazily, so this is cheap).
             if self._backend is None:
                 self._backend = create_backend(self._backend_spec, self.max_workers)
-            job = JobHandle(request, lambda handle: self._execute(request, handle))
-            self._jobs.append(job)
+            job = JobHandle(request, lambda handle: self._run_job(request, handle))
+            self._jobs.add(job)
             # Started under the lock so close() can never observe a job
             # without a thread to join.
             job._start()
@@ -219,13 +195,21 @@ class Session:
     # Execution
     # ------------------------------------------------------------------ #
 
+    def _run_job(self, request: Request, job: JobHandle) -> ResultEnvelope:
+        """A job's body; the session forgets the job once it is done."""
+        try:
+            return self._execute(request, job)
+        finally:
+            with self._lock:
+                self._jobs.discard(job)
+
     def _execute(self, request: Request, job: JobHandle) -> ResultEnvelope:
         if isinstance(request, ProbeRequest):
             return self._run_probe(request, job)
         if isinstance(request, (CampaignRequest, ResumeRequest)):
             return self._run_campaign(request.normalized(), job)
         if isinstance(request, MatrixRequest):
-            return self._run_matrix(request, job)
+            return self._run_sweep(request, job)
         raise MeasurementError(
             f"unsupported request type: {type(request).__name__} "
             "(expected ProbeRequest, CampaignRequest, MatrixRequest, or ResumeRequest)"
@@ -277,11 +261,7 @@ class Session:
         user_hook = norm.on_checkpoint
 
         # The per-shard hook is what makes every session job observable and
-        # cancellable at shard boundaries.  It routes the runner down the
-        # completion-iteration path instead of the chunked pool.map fast
-        # path — a deliberate control-over-throughput trade; callers that
-        # want the chunked path (e.g. the E9 benchmark) use
-        # CampaignRunner.execute() directly.
+        # cancellable at shard boundaries.
         def hook(outcome, completed, _total):
             if user_hook is not None:
                 user_hook(outcome, completed, total)
@@ -309,60 +289,53 @@ class Session:
             "store": str(norm.store.root) if norm.store is not None else None,
             "backend": self._backend_name,
         }
-        # A fault-tolerant backend (the remote pool) accumulates a per-job
-        # report — requeues, evictions, quarantined shards, degradation
-        # warnings — which surfaces here rather than in logs: callers read
-        # envelope.meta["remote"] (and meta["warnings"]) to learn what the
-        # campaign survived.
-        reporter = getattr(self.backend, "pop_job_report", None)
-        if callable(reporter):
-            report = reporter()
-            if report:
-                meta["remote"] = report
-                if report.get("warnings"):
-                    meta["warnings"] = tuple(report["warnings"])
         return ResultEnvelope(
             kind=KIND_CAMPAIGN,
             payload=result,
             scenario=result.scenario or norm.label,
             plan_digest=plan_digest(plan),
             result_digest=result_digest(result),
-            meta=meta,
+            meta=self._with_job_report(meta),
         )
 
-    def _run_matrix(self, request: MatrixRequest, job: JobHandle) -> ResultEnvelope:
-        norm = request.normalized()
-        cells = norm.cells
-        outcomes: list[tuple[CellPlan, Any, CampaignResult]] = []
-        if norm.parallel_cells and len(cells) > 1 and self.backend.name != "serial":
-            # Cells are independent pure functions, so they fan out across
-            # the backend whole; shards inside each cell run serially in
-            # their worker.  Pool failure falls back to inline execution.
-            try:
-                outcomes = list(self.backend.map_items(_run_matrix_cell, cells))
-            except POOL_FAILURES:
-                outcomes = []
-            if outcomes:
-                # The barrier already ran every cell; a cancel() requested
-                # mid-sweep has no remaining work to stop, so the finished
-                # result is kept rather than discarded.
-                try:
-                    job._report(ProgressEvent("cell", len(cells), len(cells)))
-                except JobCancelled:
-                    pass
-        if not outcomes:
-            for index, cell in enumerate(cells):
-                outcomes.append(self._run_cell_inline(cell))
-                job._report(
-                    ProgressEvent("cell", index + 1, len(cells), label=cell.label)
-                )
+    def _with_job_report(self, meta: dict) -> dict:
+        """``meta`` plus whatever the backend survived during the campaign.
+
+        A backend's job report — pool fallbacks; the remote pool's requeues,
+        evictions, quarantined shards, degradations — lands under the
+        backend's name (``meta["remote"]``, ``meta["process"]``) and its
+        warnings in ``meta["warnings"]``, so a degraded run says so in its
+        envelope rather than in logs.
+        """
+        report = self.backend.pop_job_report()
+        if report:
+            meta[self.backend.name] = report
+            if report.get("warnings"):
+                meta["warnings"] = tuple(report["warnings"])
+        return meta
+
+    def _run_sweep(self, request: MatrixRequest, job: JobHandle) -> ResultEnvelope:
+        cells = request.normalized().cells
         children = []
         runs: dict[str, ScenarioRun] = {}
-        for cell, plan, result in outcomes:
-            runs[cell.label] = ScenarioRun(
-                scenario=cell.scenario, seed=cell.seed, result=result
+        for index, cell in enumerate(cells):
+            # Cells run one after another, each a campaign on the session's
+            # backend, so every cell's shards share the warm pool.
+            specs = build_scenario_hosts(cell.scenario, seed=cell.seed)
+            runner = CampaignRunner(
+                specs,
+                cell.config,
+                seed=cell.seed,
+                remote_port=cell.remote_port,
+                shards=cell.shards,
+                max_workers=self.max_workers,
+                scenario=cell.label,
+                backend=self.backend,
             )
-            children.append(self._cell_envelope(cell, plan, result))
+            result = runner.execute(cell.tests)
+            runs[cell.label] = ScenarioRun(scenario=cell.scenario, seed=cell.seed, result=result)
+            children.append(self._cell_envelope(cell, runner.plan(cell.tests), result))
+            job._report(ProgressEvent("cell", index + 1, len(cells), label=cell.label))
         cell_digests = tuple(
             sorted((child.scenario or "", child.result_digest or "") for child in children)
         )
@@ -375,28 +348,10 @@ class Session:
             meta={
                 "seed": request.seed,
                 "cells": len(cells),
-                "parallel_cells": norm.parallel_cells,
                 "backend": self._backend_name,
             },
             children=tuple(children),
         )
-
-    def _run_cell_inline(
-        self, cell: CellPlan
-    ) -> tuple[CellPlan, Any, CampaignResult]:
-        """One cell on the session's own backend (shards share the warm pool)."""
-        specs = build_scenario_hosts(cell.scenario, seed=cell.seed)
-        runner = CampaignRunner(
-            specs,
-            cell.config,
-            seed=cell.seed,
-            remote_port=cell.remote_port,
-            shards=cell.shards,
-            max_workers=self.max_workers,
-            scenario=cell.label,
-            backend=self.backend,
-        )
-        return cell, runner.plan(cell.tests), runner.execute(cell.tests)
 
     def _cell_envelope(
         self, cell: CellPlan, plan: Any, result: CampaignResult
@@ -407,7 +362,9 @@ class Session:
             scenario=cell.label,
             plan_digest=plan_digest(plan),
             result_digest=result_digest(result),
-            meta={"seed": cell.seed, "shards": plan.shards, "backend": self._backend_name},
+            meta=self._with_job_report(
+                {"seed": cell.seed, "shards": plan.shards, "backend": self._backend_name}
+            ),
         )
 
 

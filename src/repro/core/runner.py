@@ -10,9 +10,12 @@ a single core bounds how large a survey can get.
 into independent shards, builds each shard its own simulated world (its own
 :class:`~repro.sim.simulator.Simulator`, :class:`~repro.host.raw_socket.ProbeHost`,
 and :class:`~repro.core.prober.Prober`), runs the shards concurrently via
-:mod:`concurrent.futures` (with a serial in-process fallback), and merges the
-per-shard records into one :class:`~repro.core.campaign.CampaignResult` in
-canonical round-robin order.
+:meth:`CampaignRunner.execute` through one
+:class:`~repro.api.backends.ExecutionBackend`, and merges the per-shard
+records into one :class:`~repro.core.campaign.CampaignResult` in canonical
+round-robin order.  Every campaign takes the same path: one completion-order
+loop over :meth:`~repro.api.backends.ExecutionBackend.iter_shards`, with
+serial and one-shard campaigns run inline.
 
 Determinism
 -----------
@@ -23,7 +26,7 @@ follow:
 
 * **Fixed layout is fully reproducible.**  For a given
   ``(specs, config, seed, tests, shards)`` the merged dataset is identical
-  across runs, executors (process / thread / serial), and worker counts.
+  across runs, backends (serial / process / remote), and worker counts.
 * **Shard count doesn't change measurements** for sites whose behaviour
   depends only on their own path and stack — i.e. every site *not* behind a
   port-hashing middlebox and *not* on a time-varying path.  The merged
@@ -45,13 +48,13 @@ follow:
 from __future__ import annotations
 
 import hashlib
-import warnings
+from contextlib import closing
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.core.campaign import Campaign, CampaignConfig, CampaignResult, HostRoundResult
 from repro.core.prober import TestName
-from repro.net.errors import MeasurementError
+from repro.net.errors import MeasurementError, ShardError
 from repro.workloads.population import partition_specs
 from repro.workloads.testbed import HostSpec, build_testbed
 
@@ -63,9 +66,7 @@ CheckpointHook = Callable[["ShardOutcome", int, int], None]
 """Called after each shard becomes durable: ``(outcome, completed, total)``."""
 
 EXECUTOR_PROCESS = "process"
-EXECUTOR_THREAD = "thread"
 EXECUTOR_SERIAL = "serial"
-_EXECUTORS = (EXECUTOR_PROCESS, EXECUTOR_THREAD, EXECUTOR_SERIAL)
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,99 +96,6 @@ class ShardOutcome:
     index: int
     host_addresses: tuple[int, ...]
     records: list[HostRoundResult]
-
-
-@dataclass(frozen=True, slots=True)
-class ShardContext:
-    """The run-wide half of a :class:`ShardTask`, shipped to workers once.
-
-    Every shard of one campaign shares the same config, test tuple, seed,
-    port, and scenario label; only the spec slice differs.  Sending the
-    shared part through the :class:`~concurrent.futures.ProcessPoolExecutor`
-    *initializer* (once per worker) instead of inside every task cuts the
-    per-shard pickling to just ``(index, specs)``.
-    """
-
-    config: CampaignConfig
-    tests: Optional[tuple[TestName, ...]]
-    seed: int
-    remote_port: int
-    scenario: Optional[str]
-
-    def task(self, index: int, specs: tuple[HostSpec, ...]) -> ShardTask:
-        """Recombine this context with one shard's spec slice."""
-        return ShardTask(
-            index=index,
-            specs=specs,
-            config=self.config,
-            tests=self.tests,
-            seed=self.seed,
-            remote_port=self.remote_port,
-            scenario=self.scenario,
-        )
-
-
-_WORKER_CONTEXT: Optional[ShardContext] = None
-
-
-def _init_shard_worker(context: ShardContext) -> None:
-    """Process-pool initializer: stash the run-wide shard context."""
-    global _WORKER_CONTEXT
-    _WORKER_CONTEXT = context
-
-
-def _run_shard_slice(slice_: tuple[int, tuple[HostSpec, ...]]) -> ShardOutcome:
-    """Worker entry point: rebuild the full task from the stashed context."""
-    context = _WORKER_CONTEXT
-    if context is None:  # pragma: no cover - initializer always runs first
-        raise MeasurementError("shard worker used before its initializer ran")
-    index, specs = slice_
-    return run_shard(context.task(index, specs))
-
-
-def _encode_batch(outcomes: list[ShardOutcome], mode: str) -> "bytes | list[ShardOutcome]":
-    """One batch's return value: a compact blob, or live objects (oracle mode).
-
-    Imported lazily so :mod:`repro.core.transport` (which imports this
-    module for :class:`ShardOutcome`) never forms an import cycle.
-    """
-    if mode == "binary":
-        from repro.core.transport import encode_outcomes
-
-        return encode_outcomes(outcomes)
-    return outcomes
-
-
-def _run_shard_slice_batch(
-    payload: tuple[str, tuple[tuple[int, tuple[HostSpec, ...]], ...]],
-) -> "bytes | list[ShardOutcome]":
-    """Worker entry point: run a whole batch of stashed-context slices.
-
-    The batch travels to the worker as bare ``(index, specs)`` slices (the
-    PR 3 pickling minimisation) and its results travel back as a single
-    struct-packed blob (see :mod:`repro.core.transport`) — one IPC
-    round-trip per batch in each direction.
-    """
-    mode, slices = payload
-    context = _WORKER_CONTEXT
-    if context is None:  # pragma: no cover - initializer always runs first
-        raise MeasurementError("shard worker used before its initializer ran")
-    return _encode_batch(
-        [run_shard(context.task(index, specs)) for index, specs in slices], mode
-    )
-
-
-def _run_task_batch(
-    payload: tuple[str, tuple[ShardTask, ...]],
-) -> "bytes | list[ShardOutcome]":
-    """Worker entry point: run a batch of self-contained shard tasks.
-
-    Used when a warm pool's stashed context does not match the campaign
-    (e.g. the later cells of a matrix sweep) — tasks ship whole, results
-    still come back as one blob per batch.
-    """
-    mode, tasks = payload
-    return _encode_batch([run_shard(task) for task in tasks], mode)
 
 
 def record_signature(record: HostRoundResult) -> tuple:
@@ -287,6 +195,18 @@ def run_shard(task: ShardTask) -> ShardOutcome:
     )
 
 
+def run_shard_checked(task: ShardTask) -> ShardOutcome:
+    """:func:`run_shard`, with any exception wrapped in a :class:`ShardError`.
+
+    Every backend's local execution goes through here, so a bug in shard code
+    surfaces the same way wherever the shard ran and is never retried.
+    """
+    try:
+        return run_shard(task)
+    except Exception as exc:
+        raise ShardError(task.index, exc) from exc
+
+
 class CampaignRunner:
     """Runs a measurement campaign over a host population in parallel shards.
 
@@ -309,11 +229,9 @@ class CampaignRunner:
         rather than left empty.
     executor:
         A backend name from the :mod:`repro.api.backends` registry:
-        ``"process"`` (default) for true multi-core execution, ``"thread"``
-        for a thread pool, ``"serial"`` to run shards inline.  If a pool
-        cannot be created or breaks (sandboxes without semaphores,
-        unpicklable platform quirks), the runner falls back to serial
-        execution of the same shard tasks.
+        ``"process"`` (default) for multi-core execution, ``"serial"`` to
+        run shards inline, ``"remote"`` for socket workers.  Pool failures
+        are the backend's to absorb (see :mod:`repro.api.backends`).
     backend:
         An :class:`~repro.api.backends.ExecutionBackend` *instance* to run
         on, overriding ``executor``.  The runner borrows it (never closes
@@ -342,13 +260,12 @@ class CampaignRunner:
             raise MeasurementError("campaign runner requires at least one host spec")
         if shards < 1:
             raise MeasurementError(f"campaign runner needs at least one shard: {shards}")
-        if backend is None and executor not in _EXECUTORS:
+        if backend is None:
             from repro.api.backends import backend_names
 
             if executor not in backend_names():
                 raise MeasurementError(
-                    f"unknown executor {executor!r}; expected one of "
-                    f"{backend_names() or _EXECUTORS}"
+                    f"unknown executor {executor!r}; expected one of {backend_names()}"
                 )
         self.specs = tuple(specs)
         self.config = config or CampaignConfig()
@@ -396,32 +313,6 @@ class CampaignRunner:
             origin=origin,
         )
 
-    def run(
-        self,
-        tests: Optional[Iterable[TestName]] = None,
-        *,
-        store: Optional["CampaignStore"] = None,
-        resume: bool = False,
-        origin: Optional[dict] = None,
-        on_checkpoint: Optional[CheckpointHook] = None,
-    ) -> CampaignResult:
-        """Legacy entry point: identical to :meth:`execute`, with a pointer.
-
-        New code should submit a :class:`repro.api.CampaignRequest` to a
-        :class:`repro.api.Session` (which adds job handles, result
-        envelopes, and backend sharing) or call :meth:`execute` directly.
-        """
-        warnings.warn(
-            "CampaignRunner.run() is a legacy entry point; submit a "
-            "repro.api.CampaignRequest to a repro.api.Session (or call "
-            "CampaignRunner.execute()) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.execute(
-            tests, store=store, resume=resume, origin=origin, on_checkpoint=on_checkpoint
-        )
-
     def execute(
         self,
         tests: Optional[Iterable[TestName]] = None,
@@ -460,29 +351,31 @@ class CampaignRunner:
             )
             for index, shard in enumerate(self.shard_plan())
         ]
+        outcomes: list[ShardOutcome] = []
+        if store is not None:
+            completed = store.begin(self.plan(active_tests, origin=origin), resume=resume)
+            # Previously durable shards are read back; shards executed this
+            # run merge from memory (the codec is lossless, so both sources
+            # yield signature-identical records).
+            outcomes = [store.read_shard(index) for index in sorted(completed)]
+            tasks = [task for task in tasks if task.index not in completed]
+        total = len(outcomes) + len(tasks)
         backend, owned = self._resolve_backend()
         try:
-            if store is None:
-                if on_checkpoint is None:
-                    return self._merge(self._execute(tasks, backend), active_tests)
-                outcomes: list[ShardOutcome] = []
-                for outcome in self._iter_completed(tasks, backend):
+            with closing(self._iter_outcomes(tasks, backend)) as fresh:
+                # Completion order; each shard is durable before its hook
+                # fires.  Closing the iterator (a hook or store write raised)
+                # drops the shards that have not started.
+                for outcome in fresh:
+                    if store is not None:
+                        store.write_shard(outcome)
                     outcomes.append(outcome)
-                    on_checkpoint(outcome, len(outcomes), len(tasks))
-                return self._merge(outcomes, active_tests)
-            completed = store.begin(self.plan(active_tests, origin=origin), resume=resume)
-            pending = [task for task in tasks if task.index not in completed]
-            fresh = self._execute_checkpointed(
-                pending, store, on_checkpoint, total=len(tasks), backend=backend
-            )
-            # Shards executed this run merge from memory; only previously
-            # durable shards are read back (the codec is lossless, so both
-            # sources yield signature-identical records).
-            outcomes = [store.read_shard(index) for index in sorted(completed)] + fresh
-            return self._merge(outcomes, active_tests)
+                    if on_checkpoint is not None:
+                        on_checkpoint(outcome, len(outcomes), total)
         finally:
             if owned:
                 backend.close()
+        return self._merge(outcomes, active_tests)
 
     # ------------------------------------------------------------------ #
     # Internals
@@ -496,91 +389,19 @@ class CampaignRunner:
 
         return create_backend(self.executor, self.max_workers), True
 
-    def _execute(
-        self, tasks: list[ShardTask], backend: "ExecutionBackend"
-    ) -> list[ShardOutcome]:
-        if backend.name == EXECUTOR_SERIAL or len(tasks) == 1:
-            # A one-shard campaign never pays pool spin-up, whatever the
-            # backend — shard tasks are pure functions, so where they run
-            # cannot change what they measure.
-            return [run_shard(task) for task in tasks]
-        from repro.api.backends import POOL_FAILURES
+    @staticmethod
+    def _iter_outcomes(
+        tasks: list[ShardTask], backend: "ExecutionBackend"
+    ) -> Iterator[ShardOutcome]:
+        """Shard outcomes in completion order: the one dispatch path.
 
-        try:
-            return backend.map_shards(tasks)
-        except POOL_FAILURES:
-            # Pool infrastructure failure (no semaphores / fork restrictions /
-            # broken workers) — rerunning inline yields the identical result.
-            return [run_shard(task) for task in tasks]
-
-    def _execute_checkpointed(
-        self,
-        tasks: list[ShardTask],
-        store: "CampaignStore",
-        on_checkpoint: Optional[CheckpointHook],
-        *,
-        total: int,
-        backend: "ExecutionBackend",
-    ) -> list[ShardOutcome]:
-        """Run shards, committing each to the store as it completes.
-
-        Checkpoints land in completion order (the store is indexed by shard,
-        so order is irrelevant to the merge); each shard is durable before
-        its ``on_checkpoint`` hook fires.  Returns the outcomes in completion
-        order so the caller can merge them without reading them back.
+        A serial or one-shard campaign runs inline and never pays pool
+        spin-up — shard tasks are pure functions, so where they run cannot
+        change what they measure.
         """
-        outcomes: list[ShardOutcome] = []
-        for outcome in self._iter_completed(tasks, backend):
-            store.write_shard(outcome)
-            outcomes.append(outcome)
-            if on_checkpoint is not None:
-                on_checkpoint(outcome, len(store.completed_shards()), total)
-        return outcomes
-
-    def _iter_completed(
-        self, tasks: list[ShardTask], backend: "ExecutionBackend"
-    ) -> Iterable[ShardOutcome]:
-        """Yield shard outcomes as they complete.
-
-        A generator so that only *pool* failures trigger the serial fallback:
-        exceptions raised by the consumer (store writes, checkpoint hooks)
-        propagate out of the ``yield`` and are never mistaken for pool
-        infrastructure problems — and closing the generator cancels the
-        queued shards rather than running the rest of the campaign first.
-        On pool failure, shards already yielded are not re-run; the rest
-        execute inline (shards are pure functions, so the retry yields
-        identical records).
-        """
-        if not tasks:
-            return
-        done: set[int] = set()
-        if backend.name != EXECUTOR_SERIAL and len(tasks) > 1:
-            from repro.api.backends import POOL_FAILURES
-
-            iterator = None
-            try:
-                iterator = backend.iter_shards(tasks)
-            except POOL_FAILURES:
-                iterator = None
-            pool_failed = False
-            if iterator is not None:
-                try:
-                    for outcome in iterator:
-                        done.add(outcome.index)
-                        yield outcome
-                except POOL_FAILURES:
-                    pool_failed = True
-                finally:
-                    # Reached on success, pool failure, *and* generator close
-                    # (consumer raised): the backend's iterator drops shards
-                    # that have not started; the pool itself stays warm for
-                    # its owner.
-                    iterator.close()
-                if not pool_failed:
-                    return
-                tasks = [task for task in tasks if task.index not in done]
-        for task in tasks:
-            yield run_shard(task)
+        if backend.name == EXECUTOR_SERIAL or len(tasks) <= 1:
+            return (run_shard_checked(task) for task in tasks)
+        return backend.iter_shards(tasks)
 
     def _merge(
         self, outcomes: Iterable[ShardOutcome], active_tests: tuple[TestName, ...]

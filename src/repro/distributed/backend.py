@@ -37,7 +37,7 @@ import sys
 import threading
 from pathlib import Path
 from queue import Empty
-from typing import Callable, Iterator, Optional, Sequence, TypeVar
+from typing import Iterator, Optional, Sequence
 
 import repro
 from repro.api.backends import ExecutionBackend, _shard_cost, create_backend
@@ -54,9 +54,6 @@ from repro.distributed.coordinator import (
 )
 from repro.distributed.worker import DEFAULT_HEARTBEAT_INTERVAL
 from repro.net.errors import MeasurementError
-
-_ItemT = TypeVar("_ItemT")
-_ResultT = TypeVar("_ResultT")
 
 WORKERS_ENV = "REPRO_REMOTE_WORKERS"
 HEARTBEAT_ENV = "REPRO_REMOTE_HEARTBEAT"
@@ -232,10 +229,17 @@ class RemoteBackend(ExecutionBackend):
 
         The :class:`~repro.api.Session` calls this after each campaign and
         folds a non-empty report into the envelope's ``meta["remote"]``.
+        Warnings from the local fallback backend (its own pool failing)
+        join the report's ``warnings``.
         """
         with self._lock:
             report, self._report = self._report, {}
-            return report
+            fallback = self._fallback_backend
+        if fallback is not None:
+            local = fallback.pop_job_report().get("warnings")
+            if local:
+                report.setdefault("warnings", []).extend(local)
+        return report
 
     # ------------------------------------------------------------------ #
     # ExecutionBackend surface
@@ -315,23 +319,6 @@ class RemoteBackend(ExecutionBackend):
                     f"{self.max_attempts} failed attempts: "
                     f"{sorted(entry['shard'] for entry in quarantined)}"
                 )
-
-    def map_shards(self, tasks: Sequence[ShardTask]) -> list[ShardOutcome]:
-        by_index: "dict[int, ShardOutcome]" = {}
-        for outcome in self.iter_shards(tasks):
-            by_index[outcome.index] = outcome
-        # Quarantined shards are reported (envelope meta), not returned —
-        # the merge simply lacks their records, mirroring a host that could
-        # not be measured.
-        return [by_index[task.index] for task in tasks if task.index in by_index]
-
-    def map_items(
-        self, fn: Callable[[_ItemT], _ResultT], items: Sequence[_ItemT]
-    ) -> list[_ResultT]:
-        # Arbitrary work items (matrix cells) are not shard tasks; they run
-        # on the local fallback pool.  Campaigns inside the cells still
-        # route their shards wherever the cell's runner points.
-        return self._local().map_items(fn, items)
 
     def close(self) -> None:
         with self._lock:

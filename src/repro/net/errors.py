@@ -8,6 +8,8 @@ measurement-level failures.
 
 from __future__ import annotations
 
+import pickle
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the repro library."""
@@ -97,6 +99,34 @@ class TransportError(MeasurementError):
         """Shards that were in flight but did not survive the decode."""
         decoded = set(self.decoded_indexes)
         return tuple(i for i in self.shard_indexes if i not in decoded)
+
+
+class ShardError(MeasurementError):
+    """Raised when a shard's own code fails, wherever the shard ran.
+
+    Execution backends wrap every exception raised while running a shard in
+    this type (``index`` names the shard, ``cause`` is the original
+    exception), so a bug in a shard is never mistaken for a pool failure and
+    re-run.  Always picklable, so it crosses the process-pool boundary: a
+    cause that cannot be pickled travels as a :class:`MeasurementError`
+    carrying its type name and message.
+    """
+
+    def __init__(self, index: int, cause: BaseException) -> None:
+        super().__init__(index, cause)
+        self.index = index
+        self.cause = cause
+
+    def __str__(self) -> str:
+        return f"shard {self.index} failed: {type(self.cause).__name__}: {self.cause}"
+
+    def __reduce__(self) -> "tuple[type[ShardError], tuple[int, BaseException]]":
+        cause = self.cause
+        try:
+            pickle.dumps(cause)
+        except Exception:  # any pickling failure: ship a description instead
+            cause = MeasurementError(f"{type(cause).__name__}: {cause}")
+        return (type(self), (self.index, cause))
 
 
 class ProtocolError(ReproError):

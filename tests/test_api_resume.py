@@ -192,7 +192,7 @@ def test_sigkill_via_cli_resumes_through_the_api(tmp_path):
     assert envelope.result_digest == reference.result_digest
 
 
-@pytest.mark.parametrize("backend", ("thread", "process"))
+@pytest.mark.parametrize("backend", ("process",))
 def test_cancel_mid_campaign_then_resume_matches_uninterrupted(tmp_path, backend):
     """``JobHandle.cancel()`` at a progress boundary leaves a resumable store.
 

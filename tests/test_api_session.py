@@ -1,15 +1,18 @@
 """Session-layer acceptance: the API front door changes nothing measured.
 
 The hard bar from the redesign: for **every** registry scenario, a campaign
-submitted through :class:`repro.api.Session` on the serial, thread, and
-process backends must produce a ``result_digest`` bit-identical to the
+submitted through :class:`repro.api.Session` on the serial and process
+backends must produce a ``result_digest`` bit-identical to the
 pre-redesign golden digests — and the envelope, job-handle, and backend
 surfaces must behave as documented.
 """
 
 from __future__ import annotations
 
+import gc
 import threading
+import warnings
+import weakref
 
 import pytest
 
@@ -22,7 +25,6 @@ from repro.api import (
     ProcessBackend,
     SerialBackend,
     Session,
-    ThreadBackend,
     create_backend,
     unwrap_result,
 )
@@ -30,7 +32,7 @@ from repro.analysis.streaming import survey_from_envelope
 from repro.analysis.survey import summarize_eligibility
 from repro.core.campaign import CampaignConfig
 from repro.core.prober import TestName
-from repro.core.runner import EXECUTOR_SERIAL, result_digest
+from repro.core.runner import EXECUTOR_SERIAL, CampaignRunner, result_digest
 from repro.net.errors import MeasurementError
 from repro.scenarios import scenario_names
 from repro.scenarios.matrix import derive_cell_seed
@@ -41,7 +43,7 @@ from test_golden_signatures import (
     GOLDEN_SEED,
 )
 
-BACKENDS = (EXECUTOR_SERIAL, "thread", "process")
+BACKENDS = (EXECUTOR_SERIAL, "process")
 
 # Time-varying layouts measure differently per shard count (documented in
 # repro.core.runner), so only the other scenarios pin the shards=1 golden
@@ -138,17 +140,20 @@ def test_probe_request_runs_requested_techniques():
     assert first.result_digest == second.result_digest
 
 
-def test_matrix_request_parallel_cells_measure_identically():
-    scenarios = ("imc2002-survey", "bursty-loss")
-    base = dict(
-        scenarios=scenarios, config=GOLDEN_CONFIG, hosts=3, seed=11, shards=2
+def test_matrix_request_measures_identically_on_every_backend():
+    request = MatrixRequest(
+        scenarios=("imc2002-survey", "bursty-loss"),
+        config=GOLDEN_CONFIG,
+        hosts=3,
+        seed=11,
+        shards=2,
     )
     with Session(backend=EXECUTOR_SERIAL) as session:
-        sequential = session.run(MatrixRequest(**base))
+        sequential = session.run(request)
     with Session(backend="process") as session:
-        parallel = session.run(MatrixRequest(**base, parallel_cells=True))
-    assert sequential.kind == parallel.kind == "matrix"
-    assert sequential.result_digest == parallel.result_digest
+        pooled = session.run(request)
+    assert sequential.kind == pooled.kind == "matrix"
+    assert sequential.result_digest == pooled.result_digest
     assert {child.scenario for child in sequential.children} == {
         "imc2002-survey/mixed",
         "bursty-loss/mixed",
@@ -254,7 +259,7 @@ def test_session_rejects_unknown_backend_and_closed_submit():
 
 
 def test_borrowed_backend_is_not_closed_by_the_session():
-    backend = ThreadBackend(max_workers=2)
+    backend = ProcessBackend(max_workers=2)
     try:
         with Session(backend=backend) as session:
             digest = session.run(_request("imc2002-survey")).result_digest
@@ -268,7 +273,7 @@ def test_borrowed_backend_is_not_closed_by_the_session():
 
 def test_concurrent_jobs_share_one_backend_safely():
     """Two jobs submitted back-to-back race on the shared warm pool."""
-    with Session(backend="thread", max_workers=2) as session:
+    with Session(backend="process", max_workers=2) as session:
         jobs = [
             session.submit(_request(name))
             for name in ("imc2002-survey", "bursty-loss")
@@ -276,6 +281,31 @@ def test_concurrent_jobs_share_one_backend_safely():
         digests = [job.result(timeout=300).result_digest for job in jobs]
     assert digests[0] == _reference_digest("imc2002-survey")
     assert digests[1] == _reference_digest("bursty-loss")
+
+
+def test_session_keeps_no_finished_job():
+    """Finished handles and their envelopes belong to the caller alone."""
+    request = CampaignRequest(
+        scenario="imc2002-survey",
+        config=CampaignConfig(rounds=1, samples_per_measurement=2, tests=(TestName.SYN,)),
+        hosts=2,
+        seed=3,
+    )
+    with Session(backend=EXECUTOR_SERIAL) as session:
+        for _ in range(3):
+            envelope = session.run(request)
+        dropped = weakref.ref(envelope)
+        del envelope
+        # A job thread may still be unwinding after result() returned.
+        for thread in threading.enumerate():
+            if thread.name.startswith("repro-job-"):
+                thread.join(timeout=30)
+        gc.collect()
+        assert dropped() is None, "the session still holds a finished envelope"
+        assert not session._jobs
+        running = session.submit(request)
+        running.result(timeout=60)
+        assert running not in session._jobs
 
 
 def test_create_backend_resolves_names_and_instances():
@@ -307,3 +337,53 @@ def test_explicit_spec_campaign_matches_runner_output():
         )
     runner = CampaignRunner(specs, config, seed=5, shards=2, executor=EXECUTOR_SERIAL)
     assert envelope.result_digest == result_digest(runner.execute())
+
+
+# --------------------------------------------------------------------- #
+# No deprecated path left behind
+# --------------------------------------------------------------------- #
+
+_QUIET_CONFIG = CampaignConfig(
+    rounds=1,
+    samples_per_measurement=4,
+    tests=(TestName.SINGLE_CONNECTION, TestName.SYN),
+    inter_measurement_gap=0.2,
+    inter_round_gap=1.0,
+)
+
+
+def test_modern_surface_emits_no_deprecation_warnings():
+    """The session layer (and what it feeds) stays clean under -W error."""
+    from repro.workloads.population import PopulationSpec, generate_population
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        with Session(backend=EXECUTOR_SERIAL) as session:
+            session.run(ProbeRequest(samples=5, seed=2))
+            session.run(
+                CampaignRequest(
+                    scenario="imc2002-survey", config=_QUIET_CONFIG, hosts=2, seed=3
+                )
+            )
+            session.run(
+                MatrixRequest(
+                    scenarios=("imc2002-survey",), config=_QUIET_CONFIG, hosts=2, seed=3
+                )
+            )
+        specs = generate_population(PopulationSpec(num_hosts=2), seed=3)
+        result = CampaignRunner(
+            specs, _QUIET_CONFIG, seed=3, executor=EXECUTOR_SERIAL
+        ).execute()
+        summarize_eligibility(result)
+
+
+def test_modern_cli_subcommands_emit_no_deprecation_warnings(capsys):
+    from repro.__main__ import main
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        assert main([
+            "run", "--scenario", "imc2002-survey", "--hosts", "2", "--seed", "3",
+            "--rounds", "1", "--samples", "4", "--executor", "serial",
+        ]) == 0
+    capsys.readouterr()

@@ -9,20 +9,21 @@ from repro.scenarios import scenario_names
 
 
 def test_list_scenarios_prints_catalogue(capsys):
-    assert main(["--list-scenarios"]) == 0
+    assert main(["run", "--list-scenarios"]) == 0
     out = capsys.readouterr().out
     for name in scenario_names():
         assert name in out
 
 
 def test_unknown_scenario_is_a_usage_error(capsys):
-    assert main(["--scenario", "definitely-not-registered"]) == 2
+    assert main(["run", "--scenario", "definitely-not-registered"]) == 2
     assert "unknown scenario" in capsys.readouterr().err
 
 
 def test_survey_run_prints_summary_tables(capsys):
     code = main(
         [
+            "run",
             "--scenario", "bursty-loss",
             "--hosts", "4",
             "--shards", "2",
@@ -41,6 +42,7 @@ def test_survey_run_prints_summary_tables(capsys):
 
 def test_survey_output_is_deterministic(capsys):
     argv = [
+        "run",
         "--scenario", "route-flap",
         "--hosts", "4",
         "--seed", "9",
@@ -61,20 +63,15 @@ def test_parser_defaults_match_documented_surface():
     assert args.seed == 7
 
 
-def test_run_subcommand_equals_legacy_flags(capsys):
-    argv = [
-        "--scenario", "bursty-loss",
-        "--hosts", "4",
-        "--seed", "3",
-        "--rounds", "1",
-        "--samples", "4",
-        "--executor", "serial",
-    ]
-    assert main(["run", *argv]) == 0
-    with_subcommand = capsys.readouterr().out
-    assert main(argv) == 0
-    assert capsys.readouterr().out == with_subcommand
-    assert "result-digest=" in with_subcommand
+def test_every_invocation_names_its_subcommand(capsys):
+    assert main(["--scenario", "bursty-loss", "--executor", "serial"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown command '--scenario'" in err
+    assert "{run,resume,report,workers,lint}" in err
+    assert main([]) == 2
+    assert "a command is required" in capsys.readouterr().err
+    assert main(["--help"]) == 0
+    assert "usage: python -m repro" in capsys.readouterr().out
 
 
 def test_run_with_store_then_report_and_resume(tmp_path, capsys):

@@ -9,7 +9,6 @@ from repro.core.prober import ProbeReport, TestName
 from repro.core.runner import (
     EXECUTOR_PROCESS,
     EXECUTOR_SERIAL,
-    EXECUTOR_THREAD,
     CampaignRunner,
     record_signature,
     result_signature,
@@ -93,7 +92,7 @@ def test_runner_shard_plan_covers_population(specs):
 
 def test_single_shard_matches_serial_campaign_exactly(specs, serial_reference):
     """One shard is literally the serial campaign: same records, same times."""
-    result = CampaignRunner(specs, CONFIG, seed=SEED, shards=1, executor=EXECUTOR_SERIAL).run()
+    result = CampaignRunner(specs, CONFIG, seed=SEED, shards=1, executor=EXECUTOR_SERIAL).execute()
     assert [record.time for record in result.records] == [
         record.time for record in serial_reference.records
     ]
@@ -105,25 +104,23 @@ def test_sharded_matches_serial_campaign_modulo_ordering(specs, serial_reference
     for shards in (2, 3, 6):
         result = CampaignRunner(
             specs, CONFIG, seed=SEED, shards=shards, executor=EXECUTOR_SERIAL
-        ).run()
+        ).execute()
         assert len(result.records) == len(serial_reference.records)
         assert result_signature(result) == result_signature(serial_reference)
 
 
 def test_parallel_executors_match_serial_fallback(specs):
-    """Thread and process pools return the same dataset as inline execution."""
-    serial = CampaignRunner(specs, CONFIG, seed=SEED, shards=3, executor=EXECUTOR_SERIAL).run()
-    threaded = CampaignRunner(specs, CONFIG, seed=SEED, shards=3, executor=EXECUTOR_THREAD).run()
-    assert result_signature(threaded) == result_signature(serial)
+    """The process pool returns the same dataset as inline execution."""
+    serial = CampaignRunner(specs, CONFIG, seed=SEED, shards=3, executor=EXECUTOR_SERIAL).execute()
     processed = CampaignRunner(
         specs, CONFIG, seed=SEED, shards=3, executor=EXECUTOR_PROCESS, max_workers=2
-    ).run()
+    ).execute()
     assert result_signature(processed) == result_signature(serial)
 
 
 def test_merged_record_order_is_canonical(specs):
     """Merged records follow (round, host-in-spec-order, test-in-cycle-order)."""
-    result = CampaignRunner(specs, CONFIG, seed=SEED, shards=3, executor=EXECUTOR_SERIAL).run()
+    result = CampaignRunner(specs, CONFIG, seed=SEED, shards=3, executor=EXECUTOR_SERIAL).execute()
     host_order = {spec.address: index for index, spec in enumerate(specs)}
     test_order = {test: index for index, test in enumerate(CONFIG.tests)}
     keys = [
@@ -134,7 +131,7 @@ def test_merged_record_order_is_canonical(specs):
 
 
 def test_sharded_analysis_views_match_serial(specs, serial_reference):
-    result = CampaignRunner(specs, CONFIG, seed=SEED, shards=3, executor=EXECUTOR_SERIAL).run()
+    result = CampaignRunner(specs, CONFIG, seed=SEED, shards=3, executor=EXECUTOR_SERIAL).execute()
     for test in CONFIG.tests:
         assert result.ineligible_hosts(test) == serial_reference.ineligible_hosts(test)
         for direction in Direction:
@@ -157,11 +154,13 @@ def test_fixed_shard_layout_reproducible_with_load_balancers():
     config = CampaignConfig(
         rounds=1, samples_per_measurement=4, tests=(TestName.DUAL_CONNECTION,)
     )
-    first = CampaignRunner(lb_specs, config, seed=SEED, shards=3, executor=EXECUTOR_SERIAL).run()
-    again = CampaignRunner(lb_specs, config, seed=SEED, shards=3, executor=EXECUTOR_SERIAL).run()
+    first = CampaignRunner(lb_specs, config, seed=SEED, shards=3, executor=EXECUTOR_SERIAL).execute()
+    again = CampaignRunner(lb_specs, config, seed=SEED, shards=3, executor=EXECUTOR_SERIAL).execute()
     assert result_signature(first) == result_signature(again)
-    threaded = CampaignRunner(lb_specs, config, seed=SEED, shards=3, executor=EXECUTOR_THREAD).run()
-    assert result_signature(threaded) == result_signature(first)
+    processed = CampaignRunner(
+        lb_specs, config, seed=SEED, shards=3, executor=EXECUTOR_PROCESS, max_workers=2
+    ).execute()
+    assert result_signature(processed) == result_signature(first)
 
 
 def test_runner_validation(specs):

@@ -174,12 +174,16 @@ def test_iter_shards_with_no_tasks_yields_nothing():
         backend.close()
 
 
-def test_map_items_runs_on_the_local_fallback():
-    backend = make_backend(spawn_workers=0, fallback="thread")
+def test_iter_shards_runs_on_the_local_fallback():
+    backend = make_backend(spawn_workers=0, wait_timeout=0.1, fallback="serial")
     try:
-        assert backend.map_items(len, ["ab", "c", ""]) == [2, 1, 0]
+        with Session(backend=backend) as session:
+            envelope = session.run(request("imc2002-survey"))
     finally:
         backend.close()
+    assert envelope.result_digest == serial_digest("imc2002-survey")
+    assert envelope.meta["remote"]["degraded"] is True
+    assert any("local 'serial' execution" in w for w in envelope.meta["warnings"])
 
 
 # --------------------------------------------------------------------- #

@@ -18,10 +18,11 @@ import hashlib
 
 import pytest
 
+from repro.api import CampaignRequest, Session
 from repro.core.campaign import CampaignConfig
 from repro.core.prober import TestName
 from repro.core.runner import EXECUTOR_SERIAL, result_signature
-from repro.scenarios import run_scenario, scenario_names
+from repro.scenarios import scenario_names
 
 GOLDEN_SEED = 424242
 GOLDEN_HOSTS = 4
@@ -54,15 +55,12 @@ GOLDEN_DIGESTS = {
 
 def scenario_digest(name: str) -> str:
     """Run one scenario's tiny campaign at the golden seed and digest it."""
-    run = run_scenario(
-        name,
-        GOLDEN_CONFIG,
-        hosts=GOLDEN_HOSTS,
-        seed=GOLDEN_SEED,
-        shards=1,
-        executor=EXECUTOR_SERIAL,
+    request = CampaignRequest(
+        scenario=name, config=GOLDEN_CONFIG, hosts=GOLDEN_HOSTS, seed=GOLDEN_SEED, shards=1
     )
-    signature = result_signature(run.result)
+    with Session(backend=EXECUTOR_SERIAL) as session:
+        result = session.run(request).result
+    signature = result_signature(result)
     return hashlib.sha256(repr(signature).encode()).hexdigest()
 
 

@@ -97,7 +97,7 @@ def test_lock001_condition_wrapping_the_lock_is_the_same_guard():
 
 def test_lock001_guard_inherited_from_same_module_base():
     # The guard is defined on the base; the derived class both writes under
-    # it and reads bare — the shape ProcessBackend/_PoolBackend share.
+    # it and reads bare.
     findings = _lint(
         """
         import threading

@@ -225,6 +225,6 @@ def test_scenario_campaign_records_identical_across_shard_counts(name, seed, sha
             executor=EXECUTOR_SERIAL,
             scenario=name,
         )
-        return result_signature(runner.run())
+        return result_signature(runner.execute())
 
     assert signature(shards) == signature(1)

@@ -64,8 +64,6 @@ REPRO_ALL = [
     "profile_by_name",
     "quick_testbed",
     "register_scenario",
-    "run_matrix",
-    "run_scenario",
     "scenario_names",
     "validate_host_ipid",
     "__version__",
@@ -89,7 +87,6 @@ REPRO_API_ALL = [
     "ResumeRequest",
     "SerialBackend",
     "Session",
-    "ThreadBackend",
     "backend_names",
     "create_backend",
     "plan_digest",
@@ -97,7 +94,7 @@ REPRO_API_ALL = [
     "unwrap_result",
 ]
 
-BUILTIN_BACKENDS = ("serial", "thread", "process")
+BUILTIN_BACKENDS = ("serial", "process", "remote")
 
 
 def test_repro_all_is_pinned():

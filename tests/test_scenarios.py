@@ -13,6 +13,7 @@ from repro.analysis import (
     fig5_by_scenario,
     slice_by_scenario,
 )
+from repro.api import CampaignRequest, MatrixRequest, Session
 from repro.core.campaign import CampaignConfig
 from repro.core.prober import TestName
 from repro.core.runner import EXECUTOR_SERIAL, CampaignRunner, result_signature
@@ -30,8 +31,6 @@ from repro.scenarios import (
     derive_cell_seed,
     get_scenario,
     register_scenario,
-    run_matrix,
-    run_scenario,
     scenario_names,
 )
 from repro.sim.build import DiurnalJitterSpec, GilbertLossSpec, RouteFlapSpec
@@ -198,14 +197,14 @@ def test_legacy_scenario_campaign_matches_generate_population_campaign():
         seed=SEED,
         shards=2,
         executor=EXECUTOR_SERIAL,
-    ).run()
+    ).execute()
     via_scenario = CampaignRunner(
         build_scenario_hosts(scenario, seed=SEED),
         SMALL_CONFIG,
         seed=SEED,
         shards=2,
         executor=EXECUTOR_SERIAL,
-    ).run()
+    ).execute()
     assert result_signature(via_scenario) == result_signature(legacy)
 
 
@@ -285,9 +284,18 @@ def test_scenario_hosts_build_into_working_testbeds():
 # --------------------------------------------------------------------- #
 
 
+def _campaign(scenario, config, *, hosts, shards):
+    """One scenario campaign through the session layer, run serially."""
+    request = CampaignRequest(
+        scenario=scenario, config=config, hosts=hosts, seed=SEED, shards=shards
+    )
+    with Session(backend=EXECUTOR_SERIAL) as session:
+        return session.run(request)
+
+
 @pytest.mark.parametrize("name", REQUIRED_SCENARIOS)
 def test_every_named_scenario_runs_end_to_end(name):
-    run = run_scenario(name, SMALL_CONFIG, hosts=4, seed=SEED, shards=2, executor="serial")
+    run = _campaign(name, SMALL_CONFIG, hosts=4, shards=2)
     result = run.result
     assert result.scenario == name
     assert len(result.records) == 4 * len(SMALL_CONFIG.tests)
@@ -299,9 +307,7 @@ def test_every_named_scenario_runs_end_to_end(name):
 def test_run_scenario_is_deterministic_across_shard_counts():
     scenario = get_scenario("asymmetric-paths").with_population(load_balanced_fraction=0.0)
     runs = [
-        run_scenario(
-            scenario, SMALL_CONFIG, hosts=6, seed=SEED, shards=shards, executor="serial"
-        )
+        _campaign(scenario, SMALL_CONFIG, hosts=6, shards=shards)
         for shards in (1, 2, 5)
     ]
     signatures = {result_signature(run.result) for run in runs}
@@ -314,7 +320,7 @@ def test_middlebox_scenarios_are_shard_invariant(name):
     relative to per-host packet arrivals, so regrouping hosts into shards must
     not change a single measurement."""
     runs = [
-        run_scenario(name, SMALL_CONFIG, hosts=4, seed=SEED, shards=shards, executor="serial")
+        _campaign(name, SMALL_CONFIG, hosts=4, shards=shards)
         for shards in (1, 2, 3)
     ]
     signatures = {result_signature(run.result) for run in runs}
@@ -343,8 +349,10 @@ def test_cell_seed_depends_only_on_cell_key():
 
 def test_run_matrix_is_reproducible_and_stamped():
     matrix = ScenarioMatrix.of(["bursty-loss", "icmp-hostile"], [MIXED_OS])
-    first = run_matrix(matrix, SMALL_CONFIG, hosts=3, seed=SEED, shards=2, executor="serial")
-    second = run_matrix(matrix, SMALL_CONFIG, hosts=3, seed=SEED, shards=2, executor="serial")
+    request = MatrixRequest(matrix=matrix, config=SMALL_CONFIG, hosts=3, seed=SEED, shards=2)
+    with Session(backend=EXECUTOR_SERIAL) as session:
+        first = session.run(request).payload
+        second = session.run(request).payload
     assert set(first.runs) == {"bursty-loss/mixed", "icmp-hostile/mixed"}
     for label, run in first.runs.items():
         assert run.result.scenario == label
@@ -367,7 +375,7 @@ def sweep_results():
         inter_round_gap=1.0,
     )
     runs = [
-        run_scenario(name, config, hosts=4, seed=SEED, shards=2, executor="serial")
+        _campaign(name, config, hosts=4, shards=2)
         for name in (LEGACY_SCENARIO, "diurnal-congestion")
     ]
     return slice_by_scenario(runs)

@@ -4,8 +4,8 @@ The acceptance bar: a campaign interrupted after *any* shard boundary must
 resume to a merged result whose ``result_signature`` is bit-identical to an
 uninterrupted run — for every registry scenario, at more than one shard
 count.  The matrix test kills the runner (via a checkpoint-hook exception)
-after k of n shards and resumes through :func:`repro.scenarios.matrix.
-resume_scenario`, which rebuilds the population from the manifest alone.
+after k of n shards and resumes through a :class:`repro.api.ResumeRequest`,
+which rebuilds the population from the manifest alone.
 A subprocess test does the same with a real ``SIGKILL`` through the CLI, so
 no Python-level unwinding can be doing the saving.
 
@@ -25,9 +25,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.api import CampaignRequest, ResumeRequest, Session
 from repro.core.runner import EXECUTOR_SERIAL, result_digest
 from repro.net.errors import StoreError
-from repro.scenarios import resume_scenario, run_scenario, scenario_names
+from repro.scenarios import scenario_names
 from repro.store import CampaignStore
 from test_golden_signatures import (
     GOLDEN_CONFIG,
@@ -53,16 +54,22 @@ def _crash_after(n: int):
     return hook
 
 
+def _run(name, *, backend=EXECUTOR_SERIAL, **request):
+    """One golden-config campaign through the session layer."""
+    request.setdefault("config", GOLDEN_CONFIG)
+    request.setdefault("hosts", GOLDEN_HOSTS)
+    request.setdefault("seed", GOLDEN_SEED)
+    with Session(backend=backend) as session:
+        return session.run(CampaignRequest(scenario=name, **request))
+
+
+def _resume(store_dir, **request):
+    with Session(backend=EXECUTOR_SERIAL) as session:
+        return session.run(ResumeRequest(store=store_dir, **request))
+
+
 def _uninterrupted_digest(name: str, shards: int) -> str:
-    run = run_scenario(
-        name,
-        GOLDEN_CONFIG,
-        hosts=GOLDEN_HOSTS,
-        seed=GOLDEN_SEED,
-        shards=shards,
-        executor=EXECUTOR_SERIAL,
-    )
-    return result_digest(run.result)
+    return _run(name, shards=shards).result_digest
 
 
 @pytest.mark.parametrize("shards", [2, 3])
@@ -70,21 +77,12 @@ def _uninterrupted_digest(name: str, shards: int) -> str:
 def test_crash_after_first_shard_resumes_bit_identically(tmp_path, name, shards):
     store_dir = tmp_path / f"{name}-{shards}"
     with pytest.raises(SimulatedCrash):
-        run_scenario(
-            name,
-            GOLDEN_CONFIG,
-            hosts=GOLDEN_HOSTS,
-            seed=GOLDEN_SEED,
-            shards=shards,
-            executor=EXECUTOR_SERIAL,
-            store=store_dir,
-            on_checkpoint=_crash_after(1),
-        )
+        _run(name, shards=shards, store=store_dir, on_checkpoint=_crash_after(1))
     store = CampaignStore.open(store_dir)
     durable = store.completed_shards()
     assert durable and len(durable) < shards, "crash must land mid-campaign"
 
-    resumed = resume_scenario(store_dir, executor=EXECUTOR_SERIAL)
+    resumed = _resume(store_dir)
     assert result_digest(resumed.result) == _uninterrupted_digest(name, shards)
     assert CampaignStore.open(store_dir).is_complete()
     if name in SHARD_INVARIANT:
@@ -98,36 +96,23 @@ def test_crash_at_every_shard_boundary(tmp_path):
     for crash_after in (1, 2):
         store_dir = tmp_path / f"boundary-{crash_after}"
         with pytest.raises(SimulatedCrash):
-            run_scenario(
+            _run(
                 "imc2002-survey",
-                GOLDEN_CONFIG,
-                hosts=GOLDEN_HOSTS,
-                seed=GOLDEN_SEED,
                 shards=shards,
-                executor=EXECUTOR_SERIAL,
                 store=store_dir,
                 on_checkpoint=_crash_after(crash_after),
             )
         assert len(CampaignStore.open(store_dir).completed_shards()) == crash_after
-        resumed = resume_scenario(store_dir, executor=EXECUTOR_SERIAL)
+        resumed = _resume(store_dir)
         assert result_digest(resumed.result) == reference
 
 
 def test_resume_of_a_complete_store_reruns_nothing(tmp_path):
     store_dir = tmp_path / "complete"
-    run = run_scenario(
-        "imc2002-survey",
-        GOLDEN_CONFIG,
-        hosts=GOLDEN_HOSTS,
-        seed=GOLDEN_SEED,
-        shards=2,
-        executor=EXECUTOR_SERIAL,
-        store=store_dir,
-    )
+    run = _run("imc2002-survey", shards=2, store=store_dir)
     checkpoints = []
-    resumed = resume_scenario(
+    resumed = _resume(
         store_dir,
-        executor=EXECUTOR_SERIAL,
         on_checkpoint=lambda outcome, completed, total: checkpoints.append(outcome.index),
     )
     assert checkpoints == [], "a complete store has no shards left to execute"
@@ -137,24 +122,12 @@ def test_resume_of_a_complete_store_reruns_nothing(tmp_path):
 def test_resume_refuses_a_different_campaign(tmp_path):
     store_dir = tmp_path / "mismatch"
     with pytest.raises(SimulatedCrash):
-        run_scenario(
-            "imc2002-survey",
-            GOLDEN_CONFIG,
-            hosts=GOLDEN_HOSTS,
-            seed=GOLDEN_SEED,
-            shards=2,
-            executor=EXECUTOR_SERIAL,
-            store=store_dir,
-            on_checkpoint=_crash_after(1),
-        )
+        _run("imc2002-survey", shards=2, store=store_dir, on_checkpoint=_crash_after(1))
     with pytest.raises(StoreError, match="differs on"):
-        run_scenario(
+        _run(
             "imc2002-survey",
-            GOLDEN_CONFIG,
-            hosts=GOLDEN_HOSTS,
             seed=GOLDEN_SEED + 1,  # a different campaign entirely
             shards=2,
-            executor=EXECUTOR_SERIAL,
             store=store_dir,
             resume=True,
         )
@@ -189,13 +162,11 @@ def test_sigkill_mid_run_resumes_via_cli(tmp_path):
     # against an in-process uninterrupted run with the same parameters.
     from repro.core.campaign import CampaignConfig
 
-    reference = run_scenario(
+    reference = _run(
         "imc2002-survey",
-        CampaignConfig(rounds=1, samples_per_measurement=4),
+        config=CampaignConfig(rounds=1, samples_per_measurement=4),
         hosts=4,
-        seed=GOLDEN_SEED,
         shards=2,
-        executor=EXECUTOR_SERIAL,
     )
     assert digest_lines[0] == f"result-digest={result_digest(reference.result)}"
 
@@ -212,14 +183,6 @@ def test_checkpoint_failures_are_not_swallowed_by_the_pool_fallback(tmp_path):
 
     store = ExplodingStore(tmp_path / "s")
     with pytest.raises(OSError, match="disk full"):
-        run_scenario(
-            "imc2002-survey",
-            GOLDEN_CONFIG,
-            hosts=GOLDEN_HOSTS,
-            seed=GOLDEN_SEED,
-            shards=2,
-            executor="thread",
-            store=store,
-        )
+        _run("imc2002-survey", backend="process", shards=2, store=store)
     # Only shard 0 can be durable; shard 1's write failed and was not retried.
     assert CampaignStore.open(tmp_path / "s").completed_shards() <= {0}

@@ -2,25 +2,31 @@
 
 Two guarantees are pinned here.  First, the struct-packed transport codec in
 :mod:`repro.core.transport` is *exact*: Hypothesis drives encode → decode over
-the full result-type tree and compares against the pickle oracle (the
-original transport), so the binary path can never silently diverge from what
-pickled objects would have carried.  Second, execution shape is invisible in
-the data: a campaign's ``result_digest`` is identical across every backend ×
-batch-size × transport-mode combination, which is the conformance gate the
-batched dispatcher must pass.
+the full result-type tree and compares against the pickle oracle, so the
+binary path can never silently diverge from what pickled objects would have
+carried.  Second, execution shape is invisible in the data: a campaign's
+``result_digest`` is identical across every backend × batch-size
+combination, which is the conformance gate the batched dispatcher must
+pass.  The section at the end forces each process-pool failure the
+dispatcher survives, and pins that shard code errors are never retried.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
 import pickle
+import threading
+import warnings
 from concurrent.futures import BrokenExecutor, Future
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api.backends import ThreadBackend, create_backend
+import repro.api.backends
+import repro.core.runner
+from repro.api import CampaignRequest, ProcessBackend, Session
 from repro.core.campaign import CampaignConfig, HostRoundResult
 from repro.core.prober import ProbeReport, TestName
 from repro.core.runner import CampaignRunner, ShardOutcome, ShardTask, result_digest
@@ -28,12 +34,11 @@ from repro.core.sample import MeasurementResult, ReorderSample, SampleOutcome
 from repro.core.transport import (
     BATCH_SIZE_ENV,
     MIN_BATCH_SAMPLES,
-    TRANSPORT_ENV,
     decode_outcomes,
     encode_outcomes,
     next_batch_size,
 )
-from repro.net.errors import MeasurementError, TransportError
+from repro.net.errors import MeasurementError, ShardError, TransportError
 from repro.workloads.population import (
     PopulationSpec,
     generate_population,
@@ -201,7 +206,7 @@ def test_next_batch_size_override_pins():
 
 
 # ------------------------------------------------------------------ #
-# Digest invariance: backend × batch size × transport mode
+# Digest invariance: backend × batch size
 # ------------------------------------------------------------------ #
 
 _POPULATION = PopulationSpec(
@@ -222,31 +227,9 @@ def _digest(executor: str) -> str:
     return result_digest(runner.execute())
 
 
-@pytest.fixture(scope="module")
-def serial_digest():
-    return _digest("serial")
-
-
-@pytest.mark.parametrize("executor", ["thread", "process"])
-@pytest.mark.parametrize("batch_size", ["1", "2", "7", str(_SHARDS)])
-def test_digest_invariant_across_batch_sizes(
-    monkeypatch, serial_digest, executor, batch_size
-):
-    monkeypatch.setenv(BATCH_SIZE_ENV, batch_size)
-    assert _digest(executor) == serial_digest
-
-
-@pytest.mark.parametrize("executor", ["thread", "process"])
-def test_digest_invariant_under_pickle_oracle(monkeypatch, serial_digest, executor):
-    monkeypatch.setenv(TRANSPORT_ENV, "pickle")
-    assert _digest(executor) == serial_digest
-
-
-def test_map_shards_returns_outcomes_in_task_order(monkeypatch):
-    """Completion order may interleave; the barrier map must not."""
-    monkeypatch.setenv(BATCH_SIZE_ENV, "2")
+def _shard_tasks() -> list[ShardTask]:
     specs = generate_population(_POPULATION, seed=_SEED)
-    shard_tasks = [
+    return [
         ShardTask(
             index=index,
             specs=tuple(shard),
@@ -257,9 +240,29 @@ def test_map_shards_returns_outcomes_in_task_order(monkeypatch):
         )
         for index, shard in enumerate(partition_specs(specs, _SHARDS))
     ]
-    with create_backend("process") as backend:
-        ordered = backend.map_shards(shard_tasks)
-    assert [outcome.index for outcome in ordered] == [task.index for task in shard_tasks]
+
+
+@pytest.fixture(scope="module")
+def serial_digest():
+    return _digest("serial")
+
+
+@pytest.mark.parametrize("executor", ["process"])
+@pytest.mark.parametrize("batch_size", ["1", "2", "7", str(_SHARDS)])
+def test_digest_invariant_across_batch_sizes(
+    monkeypatch, serial_digest, executor, batch_size
+):
+    monkeypatch.setenv(BATCH_SIZE_ENV, batch_size)
+    assert _digest(executor) == serial_digest
+
+
+def test_iter_shards_yields_every_task_exactly_once(monkeypatch):
+    """Completion order may interleave batches; no shard is lost or doubled."""
+    monkeypatch.setenv(BATCH_SIZE_ENV, "2")
+    shard_tasks = _shard_tasks()
+    with ProcessBackend(max_workers=2) as backend:
+        indexes = [outcome.index for outcome in backend.iter_shards(shard_tasks)]
+    assert sorted(indexes) == [task.index for task in shard_tasks]
 
 
 # ------------------------------------------------------------------ #
@@ -318,75 +321,6 @@ def test_transport_error_without_batch_context_defaults_empty():
     assert error.lost_indexes == ()
 
 
-# ------------------------------------------------------------------ #
-# Broken-pool retry: one transient pool death cannot kill a campaign
-# ------------------------------------------------------------------ #
-
-
-class _FlakyThreadBackend(ThreadBackend):
-    """The first ``breaks`` batch submissions come back as broken futures."""
-
-    def __init__(self, breaks: int) -> None:
-        super().__init__(max_workers=2)
-        self.breaks = breaks
-
-    def _shard_submitter(self, tasks):
-        real = super()._shard_submitter(tasks)
-
-        def submit(batch):
-            if self.breaks > 0:
-                self.breaks -= 1
-                broken: Future = Future()
-                broken.set_exception(BrokenExecutor("injected worker death"))
-                return broken
-            return real(batch)
-
-        return submit
-
-
-def _shard_tasks() -> list[ShardTask]:
-    specs = generate_population(_POPULATION, seed=_SEED)
-    return [
-        ShardTask(
-            index=index,
-            specs=tuple(shard),
-            config=_CONFIG,
-            tests=_CONFIG.tests,
-            seed=_SEED,
-            remote_port=80,
-        )
-        for index, shard in enumerate(partition_specs(specs, _SHARDS))
-    ]
-
-
-def test_broken_pool_retries_in_flight_shards_once(monkeypatch, serial_digest):
-    """One transient pool death: a warning, a fresh pool, the same digest.
-
-    Outcomes are compared by digest, not object equality — probe uids come
-    from a process-global allocator, so re-running a shard in the same
-    process yields equal measurements under different uids.
-    """
-    monkeypatch.setenv(BATCH_SIZE_ENV, "1")
-    specs = generate_population(_POPULATION, seed=_SEED)
-    with _FlakyThreadBackend(breaks=1) as backend:
-        runner = CampaignRunner(
-            specs, _CONFIG, seed=_SEED, shards=_SHARDS, backend=backend
-        )
-        with pytest.warns(RuntimeWarning, match="retrying .* in-flight shard"):
-            digest = result_digest(runner.execute())
-    assert backend.breaks == 0, "the injected break must actually have fired"
-    assert digest == serial_digest
-
-
-def test_persistently_broken_pool_propagates_after_one_retry(monkeypatch):
-    monkeypatch.setenv(BATCH_SIZE_ENV, "1")
-    tasks = _shard_tasks()
-    with _FlakyThreadBackend(breaks=1_000) as backend:
-        with pytest.warns(RuntimeWarning, match="retrying"):
-            with pytest.raises(BrokenExecutor):
-                backend.map_shards(tasks)
-
-
 def test_enum_wire_tables_pin_definition_order():
     """Definition order IS the wire protocol for enum fields.
 
@@ -407,3 +341,118 @@ def test_enum_wire_tables_pin_definition_order():
         SampleOutcome.AMBIGUOUS,
         SampleOutcome.LOST,
     ]
+
+
+# ------------------------------------------------------------------ #
+# The one pool fallback, forced; shard errors are never retried
+# ------------------------------------------------------------------ #
+
+
+class _FlakyProcessBackend(ProcessBackend):
+    """The first ``breaks`` batch submissions come back as broken futures."""
+
+    def __init__(self, breaks: int) -> None:
+        super().__init__(max_workers=2)
+        self.breaks = breaks
+
+    def _submit(self, pool, batch):
+        if self.breaks > 0:
+            self.breaks -= 1
+            broken: Future = Future()
+            broken.set_exception(BrokenExecutor("injected worker death"))
+            return broken
+        return super()._submit(pool, batch)
+
+
+def _session_envelope(backend):
+    specs = tuple(generate_population(_POPULATION, seed=_SEED))
+    with Session(backend=backend) as session:
+        return session.run(
+            CampaignRequest(specs=specs, config=_CONFIG, seed=_SEED, shards=_SHARDS)
+        )
+
+
+def _assert_degraded(envelope, serial_digest):
+    assert envelope.result_digest == serial_digest
+    assert any("unfinished shard(s) inline" in w for w in envelope.meta["warnings"])
+    assert envelope.meta["process"]["degraded"] is True
+
+
+def test_broken_pool_runs_unfinished_shards_inline(monkeypatch, serial_digest):
+    """A pool death mid-campaign: a warning, the rest inline, the same digest.
+
+    Outcomes are compared by digest, not object equality — probe uids come
+    from a process-global allocator, so re-running a shard in the same
+    process yields equal measurements under different uids.
+    """
+    monkeypatch.setenv(BATCH_SIZE_ENV, "1")
+    with _FlakyProcessBackend(breaks=1) as backend:
+        with pytest.warns(RuntimeWarning, match="unfinished shard"):
+            envelope = _session_envelope(backend)
+        assert backend.breaks == 0, "the injected break must actually have fired"
+        assert backend._pool is None, "a broken pool must not serve later campaigns"
+    _assert_degraded(envelope, serial_digest)
+
+
+def test_persistently_broken_pool_degrades_with_a_warning(monkeypatch, serial_digest):
+    """Every submission broken: one warning, the envelope says it degraded."""
+    monkeypatch.setenv(BATCH_SIZE_ENV, "1")
+    with _FlakyProcessBackend(breaks=1_000) as backend:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            envelope = _session_envelope(backend)
+    runtime = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert len(runtime) == 1
+    _assert_degraded(envelope, serial_digest)
+
+
+def test_pool_creation_failure_runs_inline_with_a_warning(monkeypatch, serial_digest):
+    """No semaphores, say: the pool cannot even be built."""
+
+    def no_pool(*args, **kwargs):
+        raise OSError("no semaphores in this sandbox")
+
+    monkeypatch.setattr(repro.api.backends, "ProcessPoolExecutor", no_pool)
+    with pytest.warns(RuntimeWarning, match="no semaphores"):
+        envelope = _session_envelope("process")
+    _assert_degraded(envelope, serial_digest)
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the patched shard function reaches pool workers only by fork",
+)
+@pytest.mark.parametrize("error", [RuntimeError, OSError])
+def test_shard_error_runs_once_and_names_its_shard(monkeypatch, tmp_path, error):
+    """A shard's own exception is a ShardError, not a pool failure to retry."""
+    monkeypatch.setenv(BATCH_SIZE_ENV, "1")
+    runs = tmp_path / "runs"
+    real_run_shard = repro.core.runner.run_shard
+
+    def explode_on_shard_2(task):
+        if task.index != 2:
+            return real_run_shard(task)
+        with open(runs, "a") as log:
+            log.write(f"{task.index}\n")
+        raise error("shard code bug")
+
+    monkeypatch.setattr(repro.core.runner, "run_shard", explode_on_shard_2)
+    specs = generate_population(_POPULATION, seed=_SEED)
+    with ProcessBackend(max_workers=2) as backend:
+        runner = CampaignRunner(specs, _CONFIG, seed=_SEED, shards=_SHARDS, backend=backend)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ShardError, match="shard 2 failed") as excinfo:
+                runner.execute()
+    assert excinfo.value.index == 2
+    assert isinstance(excinfo.value.cause, error)
+    assert runs.read_text().split() == ["2"], "the failing shard must run exactly once"
+
+
+def test_shard_error_pickles_even_when_its_cause_cannot():
+    cause = RuntimeError("carries a lock")
+    cause.lock = threading.Lock()
+    error = pickle.loads(pickle.dumps(ShardError(4, cause)))
+    assert isinstance(error, ShardError)
+    assert error.index == 4
+    assert "RuntimeError: carries a lock" in str(error)
